@@ -56,7 +56,6 @@ from repro.core.stability import StabilityTrajectory, WindowStability, stability
 from repro.core.streaming import CustomerState, StabilityMonitor, WindowCloseReport
 from repro.core.trend import TrendForecast, forecast_stability, rank_by_risk
 from repro.core.tuning import TuningOutcome, tune_stability_model
-from repro.core.vectorized import vectorized_churn_scores, vectorized_stability
 from repro.core.windowing import Window, WindowGrid, windowed_history
 
 __all__ = [
@@ -105,7 +104,5 @@ __all__ = [
     "explain_window",
     "stability_trajectory",
     "tune_stability_model",
-    "vectorized_churn_scores",
-    "vectorized_stability",
     "windowed_history",
 ]

@@ -1,6 +1,6 @@
 """Population-scale batched stability engine.
 
-The third implementation of the paper's stability definition, built for
+The second implementation of the paper's stability definition, built for
 whole-population throughput rather than per-customer clarity:
 
 * the transaction log is encoded **once** into flat columnar arrays
@@ -35,10 +35,10 @@ whole-population throughput rather than per-customer clarity:
   worker maps the store itself, keeping fork/spawn payloads and
   per-worker RSS flat as the population grows.
 
-Like :mod:`repro.core.vectorized`, only the exponential significance and
-the ``"paper"`` counting scheme are supported; anything else stays on the
-flexible incremental engine.  Exact agreement with both other
-implementations is pinned by differential tests.
+Only the exponential significance and the ``"paper"`` counting scheme
+are supported; anything else stays on the flexible incremental engine.
+Exact agreement with the incremental engine is pinned by differential
+tests.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Engine registry: the three stability engines behind one protocol.
+"""Engine registry: the two stability engines behind one protocol.
 
 :class:`~repro.core.model.StabilityModel` used to hard-code an if/elif
 chain over backend names.  Engines are now *registered implementations*
@@ -13,13 +13,11 @@ validates against this registry.
 * ``"incremental"`` — the flexible per-customer reference engine: every
   significance rule, counting scheme and item weighting, full per-window
   significance snapshots.
-* ``"vectorized"`` — per-customer numpy kernel
-  (:mod:`repro.core.vectorized`).
 * ``"batch"`` — the population-scale columnar engine
   (:mod:`repro.core.batch`), optionally sharded across processes.
 
-The numpy engines support only the paper's exponential significance with
-the ``"paper"`` counting scheme and no item weights; their stability
+The batch engine supports only the paper's exponential significance with
+the ``"paper"`` counting scheme and no item weights; its stability
 values agree bit-for-bit with the incremental engine (differentially
 tested).
 """
@@ -31,12 +29,7 @@ from typing import Protocol, runtime_checkable
 
 from repro.core.batch import BatchStability, stability_matrix
 from repro.core.significance import ExponentialSignificance, SignificanceFunction
-from repro.core.stability import (
-    StabilityTrajectory,
-    WindowStability,
-    stability_trajectory,
-)
-from repro.core.vectorized import _vectorized_masses
+from repro.core.stability import StabilityTrajectory, stability_trajectory
 from repro.core.windowing import Window, windowed_history
 from repro.data.population import PopulationFrame
 from repro.errors import ConfigError
@@ -99,7 +92,7 @@ class StabilityEngine(Protocol):
 
 
 def _require_columnar(spec: FitSpec, name: str) -> None:
-    """The numpy engines' envelope: exponential / paper / unweighted."""
+    """The batch engine's envelope: exponential / paper / unweighted."""
     if not isinstance(spec.significance, ExponentialSignificance):
         raise ConfigError(
             f"backend {name!r} supports only ExponentialSignificance, "
@@ -193,39 +186,6 @@ class IncrementalEngine:
         return EngineFit(trajectories=trajectories)
 
 
-class VectorizedEngine:
-    """Per-customer numpy kernel; paper configuration only."""
-
-    name = "vectorized"
-
-    def validate(self, spec: FitSpec) -> None:
-        _require_columnar(spec, self.name)
-        _require_serial(spec, self.name)
-
-    def fit(self, frame: PopulationFrame, spec: FitSpec) -> EngineFit:
-        alpha = spec.significance.alpha  # type: ignore[attr-defined]
-        trajectories: dict[int, StabilityTrajectory] = {}
-        with span("engine.fit", engine=self.name, customers=frame.n_customers):
-            for row, customer_id in enumerate(frame.customer_ids):
-                cid = int(customer_id)
-                windows = _customer_windows(frame, row, cid)
-                stability, kept, total = _vectorized_masses(windows, alpha=alpha)
-                trajectories[cid] = StabilityTrajectory(
-                    customer_id=cid,
-                    records=tuple(
-                        WindowStability(
-                            window=window,
-                            stability=float(stability[k]),
-                            kept_mass=float(kept[k]),
-                            total_mass=float(total[k]),
-                            significances={},
-                        )
-                        for k, window in enumerate(windows)
-                    ),
-                )
-        return EngineFit(trajectories=trajectories)
-
-
 class BatchEngine:
     """Population-scale columnar engine; paper configuration only."""
 
@@ -280,5 +240,4 @@ def available_engines() -> tuple[str, ...]:
 
 
 register_engine(IncrementalEngine())
-register_engine(VectorizedEngine())
 register_engine(BatchEngine())

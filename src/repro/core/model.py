@@ -16,8 +16,8 @@ need:
   explanation, extended to top-K.
 
 Engine selection goes through the registry in
-:mod:`repro.core.engines`: ``backend="incremental"|"vectorized"|"batch"``
-are registered implementations of one protocol, not an if/elif chain.
+:mod:`repro.core.engines`: ``backend="incremental"|"batch"`` are
+registered implementations of one protocol, not an if/elif chain.
 """
 
 from __future__ import annotations
@@ -78,12 +78,11 @@ class StabilityModel:
         registered fit/score engine (:mod:`repro.core.engines`) —
         ``"incremental"`` (default, flexible, every significance rule /
         counting scheme / item weighting, full per-window significance
-        snapshots), ``"vectorized"`` (per-customer numpy kernel) or
-        ``"batch"`` (population-scale columnar engine, optionally
-        sharded over ``n_jobs`` worker processes).  The numpy backends
-        support only the paper's exponential significance with the
-        ``"paper"`` counting scheme and no item weights
-        (a :class:`~repro.errors.ConfigError` otherwise); their
+        snapshots) or ``"batch"`` (population-scale columnar engine,
+        optionally sharded over ``n_jobs`` worker processes).  The batch
+        backend supports only the paper's exponential significance with
+        the ``"paper"`` counting scheme and no item weights
+        (a :class:`~repro.errors.ConfigError` otherwise); its
         stability values agree exactly with the incremental engine
         (differentially tested), and :meth:`explain` transparently
         recomputes missing significance snapshots through the

@@ -1,11 +1,10 @@
 """Tests for repro.core.batch — the population-scale stability engine.
 
 The repo's invariant is *two independent implementations cross-check each
-other*; with the batch engine there are three.  The differential tests
-here assert that incremental, per-customer vectorized and population
-batch agree on every (customer, window) cell — including all-NaN
-prefixes, single-item customers, empty windows and histories long enough
-to hit the ``_MAX_LOG`` saturation cap.
+other*.  The differential tests here assert that the incremental and
+population batch engines agree on every (customer, window) cell —
+including all-NaN prefixes, single-item customers, empty windows and
+histories long enough to hit the ``_MAX_LOG`` saturation cap.
 """
 
 from __future__ import annotations
@@ -24,7 +23,6 @@ from repro.core.batch import (
 )
 from repro.core.significance import ExponentialSignificance
 from repro.core.stability import stability_trajectory
-from repro.core.vectorized import vectorized_stability
 from repro.core.windowing import WindowGrid, windowed_history
 from repro.data.basket import Basket
 from repro.data.population import PopulationFrame
@@ -69,15 +67,22 @@ def _assert_all_backends_agree(log: TransactionLog, grid: WindowGrid, alpha: flo
         reference = stability_trajectory(
             int(customer_id), windows, significance=ExponentialSignificance(alpha)
         )
-        per_customer = vectorized_stability(windows, alpha=alpha)
         for k, slow in enumerate(reference.values()):
             _assert_cell_equal(result.stability[row, k], slow)
-            _assert_cell_equal(per_customer[k], slow)
+
+
+def _log_of(item_sets, customer_id: int = 1, days_per_window: int = 10):
+    """One basket per window holding each item set (none when empty)."""
+    log = TransactionLog()
+    for k, items in enumerate(item_sets):
+        if items:
+            log.add(Basket.of(customer_id, k * days_per_window, items=items))
+    return log
 
 
 class TestDifferential:
     def test_randomized_histories_agree_across_backends(self):
-        """Seeded fuzz loop: three implementations, one definition."""
+        """Seeded fuzz loop: two implementations, one definition."""
         rng = random.Random(20160315)
         grid = WindowGrid.daily(total_days=120, days_per_window=10)
         for _ in range(25):
@@ -101,6 +106,29 @@ class TestDifferential:
         assert all(math.isnan(v) for v in result.stability[0, :5])
         assert result.stability[0, 5] == 1.0
         _assert_all_backends_agree(log, grid, 2.0)
+
+    def test_hand_example(self):
+        """Item 2 lost in window 1: S = 1/2 there, then 1/(1+1/4)."""
+        log = _log_of([{1, 2}, {1}, {1}])
+        grid = WindowGrid.daily(total_days=30, days_per_window=10)
+        result = stability_matrix(PopulationFrame.from_log(log, grid))
+        assert math.isnan(result.stability[0, 0])
+        assert result.stability[0, 1] == 0.5
+        assert result.stability[0, 2] == pytest.approx(0.8)
+        _assert_all_backends_agree(log, grid, 2.0)
+
+    def test_empty_windows_between_purchases(self):
+        log = _log_of([set(), {1}, set(), {1}])
+        grid = WindowGrid.daily(total_days=40, days_per_window=10)
+        _assert_all_backends_agree(log, grid, 2.0)
+
+    def test_customer_without_in_grid_purchases_is_all_nan(self):
+        log = TransactionLog()
+        log.add(Basket.of(customer_id=1, day=0, items=[1]))
+        log.add(Basket.of(customer_id=2, day=999, items=[1]))  # off-grid
+        grid = WindowGrid.daily(total_days=20, days_per_window=10)
+        result = stability_matrix(PopulationFrame.from_log(log, grid))
+        assert np.isnan(result.stability[1]).all()
 
     def test_single_item_customers(self):
         log = TransactionLog()
@@ -269,6 +297,11 @@ class TestBatchChurnScores:
         grid = WindowGrid.daily(total_days=50, days_per_window=10)
         scores = batch_churn_scores(log, grid, 4, customers=[2, 4])
         assert set(scores) == {2, 4}
+
+    def test_undefined_maps_to_neutral(self, log):
+        grid = WindowGrid.daily(total_days=50, days_per_window=10)
+        scores = batch_churn_scores(log, grid, window_index=0)
+        assert set(scores.values()) == {0.5}
 
 
 class TestParallelFit:

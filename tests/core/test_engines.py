@@ -24,7 +24,7 @@ def spec(**overrides) -> FitSpec:
 
 class TestRegistry:
     def test_builtin_engines_registered(self):
-        assert available_engines() == ("incremental", "vectorized", "batch")
+        assert available_engines() == ("incremental", "batch")
 
     def test_get_engine_round_trips_names(self):
         for name in available_engines():
@@ -70,22 +70,22 @@ class TestValidation:
             spec(significance=LinearSignificance(), counting="since-first-seen")
         )
 
-    @pytest.mark.parametrize("name", ["vectorized", "batch"])
+    @pytest.mark.parametrize("name", ["batch"])
     def test_numpy_engines_require_exponential(self, name):
         with pytest.raises(ConfigError, match="ExponentialSignificance"):
             get_engine(name).validate(spec(significance=LinearSignificance()))
 
-    @pytest.mark.parametrize("name", ["vectorized", "batch"])
+    @pytest.mark.parametrize("name", ["batch"])
     def test_numpy_engines_require_paper_counting(self, name):
         with pytest.raises(ConfigError, match="counting"):
             get_engine(name).validate(spec(counting="since-first-seen"))
 
-    @pytest.mark.parametrize("name", ["vectorized", "batch"])
+    @pytest.mark.parametrize("name", ["batch"])
     def test_numpy_engines_reject_item_weights(self, name):
         with pytest.raises(ConfigError, match="item_weights"):
             get_engine(name).validate(spec(item_weights={1: 2.0}))
 
-    @pytest.mark.parametrize("name", ["incremental", "vectorized"])
+    @pytest.mark.parametrize("name", ["incremental"])
     def test_serial_engines_reject_parallel_fit(self, name):
         with pytest.raises(ConfigError, match="n_jobs"):
             get_engine(name).validate(spec(n_jobs=4))
