@@ -24,7 +24,6 @@ from repro.data.streams import (
     iter_partitioned_log,
     stream_to_monitor,
 )
-from repro.data.store import EventStore
 from repro.data.taxonomy import Taxonomy, TaxonomyNode
 from repro.data.transactions import ColumnarLog, TransactionLog
 from repro.data.validation import DatasetBundle, validate_bundle
@@ -34,7 +33,6 @@ __all__ = [
     "Catalog",
     "CohortLabels",
     "DatasetBundle",
-    "EventStore",
     "LoyaltyCriteria",
     "PartitionedLogWriter",
     "QualityReport",
