@@ -18,12 +18,6 @@ from repro.data.loyalty import (
     select_loyal,
 )
 from repro.data.quality import QualityReport, profile_log, render_quality_report
-from repro.data.streams import (
-    PartitionedLogWriter,
-    iter_log_csv,
-    iter_partitioned_log,
-    stream_to_monitor,
-)
 from repro.data.taxonomy import Taxonomy, TaxonomyNode
 from repro.data.transactions import ColumnarLog, TransactionLog
 from repro.data.validation import DatasetBundle, validate_bundle
@@ -34,16 +28,12 @@ __all__ = [
     "CohortLabels",
     "DatasetBundle",
     "LoyaltyCriteria",
-    "PartitionedLogWriter",
     "QualityReport",
     "build_cohorts",
     "profile_log",
     "render_quality_report",
-    "iter_log_csv",
-    "iter_partitioned_log",
     "label_partial_defection",
     "select_loyal",
-    "stream_to_monitor",
     "PAPER_STUDY_MONTHS",
     "PAPER_STUDY_START",
     "Product",

@@ -3,9 +3,8 @@
 A serving deployment cannot hold 6M customers' incremental state behind
 one GIL: :class:`ShardedMonitorPool` partitions customers across
 ``n_shards`` independent :class:`~repro.core.streaming.StabilityMonitor`
-instances (``customer_id % n_shards``, the same partition the on-disk
-:class:`~repro.data.streams.PartitionedLogWriter` uses) and processes
-each checkpoint batch per shard — serially in-process, or fanned out to
+instances (``customer_id % n_shards``) and processes each checkpoint
+batch per shard — serially in-process, or fanned out to
 worker processes through :func:`~repro.runtime.executor.run_sharded`
 with its full retry/degrade protocol.
 

@@ -2,25 +2,27 @@
 
 Each test chains several subsystems the way the examples do, pinning that
 the seams hold: loyalty labels feeding the evaluation, quality profiling
-feeding the generator's output, shards feeding the streaming monitor,
+feeding the generator's output, sharded monitors reproducing the batch fit,
 calibration sitting on top of model scores, and the characterization /
 forecasting layers consuming fitted trajectories.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
 from repro.core.model import StabilityModel
-from repro.core.streaming import StabilityMonitor
 from repro.core.trend import forecast_stability, rank_by_risk
 from repro.core.windowing import WindowGrid
 from repro.data import DatasetBundle, TransactionLog, build_cohorts
 from repro.data.quality import profile_log
-from repro.data.streams import PartitionedLogWriter, iter_partitioned_log
+from repro.data.streams import iter_day_batches
 from repro.eval.protocol import EvaluationProtocol
 from repro.ml.calibration import PlattCalibrator, expected_calibration_error
+from repro.serve import ShardedMonitorPool
 
 
 class TestLoyaltyToEvaluation:
@@ -49,29 +51,21 @@ class TestLoyaltyToEvaluation:
 
 
 class TestShardsToMonitor:
-    def test_sharded_stream_reproduces_batch(self, tiny_dataset, tmp_path):
+    def test_sharded_stream_reproduces_batch(self, tiny_dataset):
         baskets = sorted(tiny_dataset.log, key=lambda b: b.day)
-        with PartitionedLogWriter(tmp_path / "shards", n_shards=3) as writer:
-            writer.write_all(baskets)
         grid = WindowGrid.monthly(tiny_dataset.calendar, 2)
-        monitor = StabilityMonitor(grid)
-        for customer in tiny_dataset.log.customers():
-            monitor.register(customer)
-        reports = monitor.ingest_many(
-            iter_partitioned_log(tmp_path / "shards", merge_by_day=True)
-        )
-        reports += monitor.finish()
+        pool = ShardedMonitorPool.create(grid, n_shards=3)
+        reports = pool.process_batch(list(iter_day_batches(baskets)))
+        reports += pool.finish()
         model = StabilityModel(tiny_dataset.calendar).fit(tiny_dataset.log)
         by_window = {r.window_index: r for r in reports}
-        customer = tiny_dataset.log.customers()[0]
-        import math
-
-        for k in range(model.n_windows):
-            batch = model.trajectory(customer).at(k).stability
-            streamed = by_window[k].stabilities[customer]
-            assert (math.isnan(batch) and math.isnan(streamed)) or (
-                streamed == pytest.approx(batch, abs=1e-12)
-            )
+        for customer in tiny_dataset.log.customers():
+            for k in range(model.n_windows):
+                batch = model.trajectory(customer).at(k).stability
+                streamed = by_window[k].stabilities[customer]
+                assert (math.isnan(batch) and math.isnan(streamed)) or (
+                    streamed == pytest.approx(batch, abs=1e-12)
+                )
 
 
 class TestQualityOnGeneratedAndCorrupted:
