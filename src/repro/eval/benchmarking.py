@@ -273,35 +273,14 @@ def _ru_maxrss_mb() -> float:
     return rss / 2**10 if sys.platform != "darwin" else rss / 2**20
 
 
-def _roc_sweep_legacy(
-    bundle: DatasetBundle,
-    config: ExperimentConfig,
-    train: Sequence[int],
-    test: Sequence[int],
-) -> None:
-    """The pre-refactor sweep: per-customer incremental fit + per-customer
-    RFM feature loops over the raw log at every evaluation window."""
-    from repro.baselines.rfm import RFMModel
-    from repro.eval.protocol import EvaluationProtocol
-
-    protocol = EvaluationProtocol(bundle, config=config)
-    model = StabilityModel.from_config(bundle.calendar, config).fit(
-        bundle.log, test
-    )
-    protocol.evaluate_stability_model(model, test)
-    rfm = RFMModel(bundle.calendar, config=config)
-    rfm.supports_frame = False  # force the per-customer log path
-    protocol.evaluate_window_scorer(rfm, "rfm", train, test)
-
-
 def _roc_sweep_frame(
     bundle: DatasetBundle,
     config: ExperimentConfig,
     train: Sequence[int],
     test: Sequence[int],
 ) -> None:
-    """The refactored sweep: one PopulationFrame feeds the batch stability
-    fit and every per-window RFM refit."""
+    """One Figure-1-style sweep: a single PopulationFrame feeds the
+    stability fit (on ``config.backend``) and every per-window RFM refit."""
     from repro.baselines.rfm import RFMModel
     from repro.eval.protocol import EvaluationProtocol
 
@@ -323,15 +302,15 @@ def protocol_telemetry(
     first_month: int = 12,
     last_month: int = 24,
 ) -> dict:
-    """Wall-clock of the full Figure-1-style ROC sweep, both data planes.
+    """Wall-clock of the full Figure-1-style ROC sweep, per engine.
 
-    ``size`` is per-cohort (total customers = ``2 * size``).  The legacy
-    path re-derives per-customer windowed dictionaries from the raw log;
-    the frame path encodes the log once into a
-    :class:`~repro.data.population.PopulationFrame` and runs the batch
-    stability kernel plus the columnar RFM features.  Both produce
-    bit-identical AUROC (pinned by tests), so the ratio is a pure
-    data-plane speedup.
+    ``size`` is per-cohort (total customers = ``2 * size``).  Each
+    registered engine runs the same frame-based sweep: the log is encoded
+    once into a :class:`~repro.data.population.PopulationFrame`, the
+    engine fits stability on it and the RFM baseline refits on its
+    columnar features at every window.  The engines produce
+    bit-identical AUROC (pinned by tests), so the ratio is a pure engine
+    speedup.
     """
     if repeat < 1:
         raise ConfigError(f"repeat must be >= 1, got {repeat}")
@@ -351,17 +330,14 @@ def protocol_telemetry(
         seed=seed
     )
     timings = {}
-    for label, backend, sweep in (
-        ("legacy_incremental", "incremental", _roc_sweep_legacy),
-        ("frame_batch", "batch", _roc_sweep_frame),
-    ):
+    for backend in available_engines():
         config = base.evolve(backend=backend)
         best = float("inf")
         for _ in range(repeat):
             start = time.perf_counter()
-            sweep(bundle, config, train, test)
+            _roc_sweep_frame(bundle, config, train, test)
             best = min(best, time.perf_counter() - start)
-        timings[label] = {"sweep_seconds": best}
+        timings[backend] = {"sweep_seconds": best}
     return {
         "scenario": "eval_protocol_roc_sweep",
         "customers": bundle.log.n_customers,
@@ -372,10 +348,10 @@ def protocol_telemetry(
         "last_month": last_month,
         "seed": seed,
         "repeat": repeat,
-        "paths": timings,
-        "speedup_frame_vs_legacy": (
-            timings["legacy_incremental"]["sweep_seconds"]
-            / timings["frame_batch"]["sweep_seconds"]
+        "engines": timings,
+        "speedup_batch_vs_incremental": (
+            timings["incremental"]["sweep_seconds"]
+            / timings["batch"]["sweep_seconds"]
         ),
     }
 
@@ -576,12 +552,13 @@ def render_scaling(telemetry: dict) -> str:
     table = format_table(header, rows)
     protocol = telemetry.get("eval_protocol")
     if protocol is not None:
-        paths = protocol["paths"]
+        sweeps = ", ".join(
+            f"{name} {timing['sweep_seconds']:.3f}s"
+            for name, timing in protocol["engines"].items()
+        )
         table += (
             f"\n\nfull ROC sweep ({protocol['customers']} customers): "
-            f"legacy {paths['legacy_incremental']['sweep_seconds']:.3f}s, "
-            f"frame {paths['frame_batch']['sweep_seconds']:.3f}s "
-            f"({protocol['speedup_frame_vs_legacy']:.1f}x)"
+            f"{sweeps} ({protocol['speedup_batch_vs_incremental']:.1f}x)"
         )
     resilience = telemetry.get("resilient_executor")
     if resilience is not None:
