@@ -8,9 +8,10 @@ baseline and the CLI, each with its own (or no) validation.
 construct it once, validate it once, and pass it by reference down the
 data → core → eval → baselines → cli spine.
 
-The legacy keyword arguments still work everywhere for one release (they
-are folded into a config internally); new code should build a config
-explicitly::
+:class:`~repro.eval.protocol.EvaluationProtocol` and the RFM baseline
+take only a config; entry points that still accept loose ``window_months``
+/ ``alpha`` keywords (the model facade, the figure and ablation drivers)
+fold them into one internally::
 
     >>> config = ExperimentConfig(window_months=2, alpha=2.0, backend="batch")
     >>> config.window_months

@@ -157,25 +157,6 @@ class StabilityModel:
         return cls(calendar, config=config)
 
     # ------------------------------------------------------------------
-    # Legacy attribute shims
-    # ------------------------------------------------------------------
-    @property
-    def window_months(self) -> int:
-        return self.config.window_months
-
-    @property
-    def counting(self) -> str:
-        return self.config.counting
-
-    @property
-    def backend(self) -> str:
-        return self.config.backend
-
-    @property
-    def n_jobs(self) -> int:
-        return self.config.n_jobs
-
-    # ------------------------------------------------------------------
     # Fitting
     # ------------------------------------------------------------------
     def fit(

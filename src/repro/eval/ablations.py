@@ -86,11 +86,14 @@ def _auroc_at_month(
     eval_month: int,
     customers: Sequence[int],
 ) -> float:
+    window_months = model.config.window_months
     protocol = EvaluationProtocol(
         bundle,
-        window_months=model.window_months,
-        first_month=eval_month,
-        last_month=eval_month + model.window_months,
+        config=ExperimentConfig(
+            window_months=window_months,
+            first_month=eval_month,
+            last_month=eval_month + window_months,
+        ),
     )
     series = protocol.evaluate_stability_model(model, customers)
     return series.points[0].auroc

@@ -23,8 +23,8 @@ from repro.baselines.ensemble import RankAverageEnsemble, StabilityMember
 from repro.baselines.rfm import RFMModel
 from repro.baselines.rules import FrequencyDropRule, RandomBaseline, RecencyRule
 from repro.baselines.sequences import SequenceModel
+from repro.config import ExperimentConfig
 from repro.core.model import StabilityModel
-from repro.core.windowing import WindowGrid
 from repro.data.validation import DatasetBundle
 from repro.errors import EvaluationError
 from repro.eval.protocol import EvaluationProtocol, WindowScorer
@@ -143,15 +143,16 @@ def compare_models(
     refits behind finished cells (a fully journaled stability row even
     skips the stability fit itself).
     """
-    protocol = EvaluationProtocol(
-        bundle,
+    config = ExperimentConfig(
         window_months=window_months,
+        alpha=alpha,
         first_month=min(months),
         last_month=max(months),
     )
+    protocol = EvaluationProtocol(bundle, config=config)
     train, test = protocol.train_test_split(seed=seed)
     labels = {c: int(bundle.cohorts.is_churner(c)) for c in test}
-    grid = WindowGrid.monthly(bundle.calendar, window_months)
+    grid = config.grid(bundle.calendar)
     month_to_window = {
         grid.end_month(k, bundle.calendar): k for k in range(grid.n_windows)
     }
@@ -194,24 +195,20 @@ def compare_models(
     def stability() -> StabilityModel:
         nonlocal _stability
         if _stability is None:
-            _stability = StabilityModel(
-                bundle.calendar, window_months=window_months, alpha=alpha
-            ).fit(bundle.log, test)
+            _stability = StabilityModel.from_config(bundle.calendar, config).fit(
+                bundle.log, test
+            )
         return _stability
 
     trainable = {
-        "rfm": RFMModel(bundle.calendar, window_months=window_months),
+        "rfm": RFMModel(bundle.calendar, config=config),
         "behavioral": BehavioralModel(bundle.calendar, window_months=window_months),
         "sequence": SequenceModel(bundle.calendar, window_months=window_months),
         "stability+rfm": RankAverageEnsemble(
             bundle.calendar,
             members=[
-                StabilityMember(
-                    StabilityModel(
-                        bundle.calendar, window_months=window_months, alpha=alpha
-                    )
-                ),
-                RFMModel(bundle.calendar, window_months=window_months),
+                StabilityMember(StabilityModel.from_config(bundle.calendar, config)),
+                RFMModel(bundle.calendar, config=config),
             ],
             window_months=window_months,
         ),

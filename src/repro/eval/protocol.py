@@ -144,17 +144,12 @@ class EvaluationProtocol:
     ----------
     bundle:
         The dataset (log, calendar, cohorts) under evaluation.
-    window_months:
-        Span of the shared evaluation windows (paper: 2).  Deprecated in
-        favour of ``config``.
-    first_month, last_month:
-        Inclusive month range of the x axis (paper: 12 to 24).  Only
-        windows whose *end* month falls inside the range are evaluated.
-        Deprecated in favour of ``config``.
     config:
-        The shared :class:`~repro.config.ExperimentConfig`; its
-        ``window_months`` / ``first_month`` / ``last_month`` fields are
-        validated once and drive the whole evaluation.
+        The shared :class:`~repro.config.ExperimentConfig` (the paper's
+        defaults when omitted).  ``window_months`` sets the span of the
+        evaluation windows; ``first_month`` / ``last_month`` bound the
+        inclusive month range of the x axis, and only windows whose
+        *end* month falls inside it are evaluated.
     frame:
         Optional pre-built :class:`~repro.data.population.PopulationFrame`
         (e.g. a memory-mapped slab-backed frame) used instead of lazily
@@ -169,19 +164,12 @@ class EvaluationProtocol:
     def __init__(
         self,
         bundle: DatasetBundle,
-        window_months: int = 2,
-        first_month: int = 12,
-        last_month: int = 24,
         config: ExperimentConfig | None = None,
         checkpoint_dir: str | Path | None = None,
         frame: PopulationFrame | None = None,
     ) -> None:
         if config is None:
-            config = ExperimentConfig(
-                window_months=window_months,
-                first_month=first_month,
-                last_month=last_month,
-            )
+            config = ExperimentConfig()
         self.config = config
         self.bundle = bundle
         self.window_months = config.window_months

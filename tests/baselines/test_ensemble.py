@@ -7,6 +7,7 @@ import pytest
 
 from repro.baselines.ensemble import RankAverageEnsemble, StabilityMember, rank_normalise
 from repro.baselines.rfm import RFMModel
+from repro.config import ExperimentConfig
 from repro.core.model import StabilityModel
 from repro.errors import ConfigError
 from repro.ml.metrics import auroc
@@ -49,7 +50,7 @@ class TestEnsemble:
             dataset.calendar,
             members=[
                 StabilityMember(stability),
-                RFMModel(dataset.calendar, window_months=2),
+                RFMModel(dataset.calendar, config=ExperimentConfig(window_months=2)),
             ],
         )
         ensemble.fit(dataset.log, dataset.cohorts, window)
@@ -116,5 +117,11 @@ class TestEnsemble:
         with pytest.raises(ConfigError, match="mismatched window grid"):
             RankAverageEnsemble(
                 small_dataset.calendar,
-                members=[stability, RFMModel(small_dataset.calendar, window_months=1)],
+                members=[
+                    stability,
+                    RFMModel(
+                        small_dataset.calendar,
+                        config=ExperimentConfig(window_months=1),
+                    ),
+                ],
             )
