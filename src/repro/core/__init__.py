@@ -53,7 +53,7 @@ from repro.core.significance import (
     SignificanceTracker,
 )
 from repro.core.stability import StabilityTrajectory, WindowStability, stability_trajectory
-from repro.core.streaming import CustomerState, StabilityMonitor, WindowCloseReport
+from repro.core.streaming import StabilityMonitor, WindowCloseReport
 from repro.core.trend import TrendForecast, forecast_stability, rank_by_risk
 from repro.core.tuning import TuningOutcome, tune_stability_model
 from repro.core.windowing import Window, WindowGrid, windowed_history
@@ -72,7 +72,6 @@ __all__ = [
     "significance_from_counts",
     "stability_matrix",
     "validate_alpha",
-    "CustomerState",
     "DropExplanation",
     "LossEvent",
     "PopulationLossProfile",

@@ -2,37 +2,38 @@
 
 The batch :class:`~repro.core.model.StabilityModel` recomputes trajectories
 from a full log; a deployed system instead sees receipts arrive one by one
-and must re-score customers at every window close.  This module provides
-that deployment shape:
+and must re-score customers at every window close.
+:class:`StabilityMonitor` ingests baskets in timestamp order, closes
+windows as the clock advances, emits :class:`~repro.core.detector.Alarm`
+objects for customers whose stability fell to the threshold, and keeps
+the evidence needed to explain each alarm.
 
-* :class:`CustomerState` — the per-customer incremental state: the
-  significance tracker plus the current window's accumulating item set;
-* :class:`StabilityMonitor` — ingests baskets in timestamp order, closes
-  windows as the clock advances, emits :class:`~repro.core.detector.Alarm`
-  objects for customers whose stability fell to the threshold, and keeps
-  the evidence needed to explain each alarm.
+Its state is columnar, one set of arrays per monitor: per customer (ids
+ascending) ``n_windows`` and ``last_stability``; a presence CSR of int32
+``item`` / ``count`` / ``first_seen``, each customer's segment in
+(first-seen window, item) order; the last close's significance of every
+missing item, aligned to the CSR; and the open window's item sets for
+the customers who shopped in it.  Ingest is a per-basket set union; a
+window close is one vectorised significance call plus segment sums over
+the CSR, then a vectorised merge of the window into it.  Memory is
+O(customers x items-ever-bought), independent of history length, and a
+snapshot is those columns as they stand (:mod:`repro.runtime.snapshot`).
 
-Memory is O(customers x items-ever-bought), independent of history length —
-the property that makes the 6M-customer deployment of the paper's retailer
-feasible.
-
-Equivalence with the batch model is pinned by tests: feeding a log through
-the monitor produces exactly the same stability values as
-``StabilityModel.fit`` on that log.
+Equivalence with the batch model is pinned by tests.
 """
 
 from __future__ import annotations
 
-import math
+import itertools
 from collections.abc import Iterable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.core.batch import _segment_sum, significance_from_counts
 from repro.core.detector import Alarm
-from repro.core.significance import ExponentialSignificance, SignificanceFunction, SignificanceTracker
+from repro.core.significance import COUNTING_SCHEMES, ExponentialSignificance, SignificanceFunction
 from repro.core.windowing import WindowGrid
 from repro.data.basket import Basket
 from repro.errors import ConfigError, DataError
@@ -40,23 +41,9 @@ from repro.errors import ConfigError, DataError
 if TYPE_CHECKING:
     from repro.config import ExperimentConfig
     from repro.data.calendar import StudyCalendar
+    from repro.runtime.snapshot import Columns
 
-__all__ = ["CustomerState", "WindowCloseReport", "StabilityMonitor"]
-
-
-@dataclass
-class CustomerState:
-    """Incremental per-customer state held by the monitor."""
-
-    customer_id: int
-    tracker: SignificanceTracker
-    current_items: set[int] = field(default_factory=set)
-    last_stability: float = math.nan
-
-    def significance_snapshot(self) -> dict[int, float]:
-        """``S(p, k)`` for the window currently being accumulated."""
-        return self.tracker.significance_snapshot()
-
+__all__ = ["WindowCloseReport", "StabilityMonitor"]
 
 @dataclass(frozen=True)
 class WindowCloseReport:
@@ -76,6 +63,19 @@ class WindowCloseReport:
     window_index: int
     stabilities: dict[int, float]
     alarms: tuple[Alarm, ...]
+
+
+def _pair_keys(rows: np.ndarray, items: np.ndarray) -> np.ndarray:
+    """One int64 key per (row, item), ordered like the pair itself."""
+    return (rows.astype(np.int64) << 32) + (items.astype(np.int64) + 2**31)
+
+
+def _lookup(haystack: np.ndarray, needles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Positions of ``needles`` in the sorted ``haystack``, and which are there."""
+    positions = np.searchsorted(haystack, needles)
+    if haystack.size == 0:
+        return positions, np.zeros(needles.shape, dtype=bool)
+    return positions, haystack[np.minimum(positions, haystack.size - 1)] == needles
 
 
 class StabilityMonitor:
@@ -117,6 +117,8 @@ class StabilityMonitor:
             raise ConfigError(
                 f"first_alarm_window must be >= 0, got {first_alarm_window}"
             )
+        if counting not in COUNTING_SCHEMES:
+            raise ConfigError(f"unknown counting scheme {counting!r}, expected {COUNTING_SCHEMES}")
         self.grid = grid
         self.beta = float(beta)
         self.significance = (
@@ -124,13 +126,20 @@ class StabilityMonitor:
         )
         self.counting = counting
         self.first_alarm_window = int(first_alarm_window)
-        self._states: dict[int, CustomerState] = {}
         self._current_window = 0
         self._last_day_seen = -1
         self._finished = False
-        # Evidence from the most recently closed window, per customer:
-        # {item: significance} of items that were missing in it.
-        self._last_missing: dict[int, dict[int, float]] = {}
+        # Columnar state (see the module docstring).  Every close
+        # replaces these arrays rather than mutating them in place.
+        self._ids = np.empty(0, dtype=np.int64)
+        self._n_windows = np.empty(0, dtype=np.int32)
+        self._last_stability = np.empty(0, dtype=np.float64)
+        self._offsets = np.zeros(1, dtype=np.int64)
+        self._items = np.empty(0, dtype=np.int32)
+        self._counts = np.empty(0, dtype=np.int32)
+        self._first_seen = np.empty(0, dtype=np.int32)
+        self._missing = np.empty(0, dtype=np.float64)
+        self._current: dict[int, set[int]] = {}
 
     @classmethod
     def from_config(
@@ -165,20 +174,7 @@ class StabilityMonitor:
 
     def customers(self) -> list[int]:
         """Sorted ids of customers seen so far."""
-        return sorted(self._states)
-
-    def state_of(self, customer_id: int) -> CustomerState:
-        """The incremental state of one customer.
-
-        Raises
-        ------
-        DataError
-            If the customer has never appeared in the stream.
-        """
-        try:
-            return self._states[customer_id]
-        except KeyError:
-            raise DataError(f"customer {customer_id} not in the stream") from None
+        return sorted(set(self._ids.tolist()).union(self._current))
 
     def register(self, customer_id: int) -> None:
         """Pre-register a customer so silent ones are scored from window 0.
@@ -188,11 +184,7 @@ class StabilityMonitor:
         fully silent customer produce empty windows (and eventually
         alarms) instead of being invisible.
         """
-        if customer_id not in self._states:
-            self._states[customer_id] = CustomerState(
-                customer_id=customer_id,
-                tracker=SignificanceTracker(self.significance, counting=self.counting),
-            )
+        self._current.setdefault(customer_id, set())
 
     # ------------------------------------------------------------------
     # Streaming
@@ -235,8 +227,7 @@ class StabilityMonitor:
         reports = []
         while self._current_window < window:
             reports.append(self._close_current_window())
-        self.register(basket.customer_id)
-        self._states[basket.customer_id].current_items |= basket.items
+        self._current.setdefault(basket.customer_id, set()).update(basket.items)
         return reports
 
     def ingest_many(self, baskets: Iterable[Basket]) -> list[WindowCloseReport]:
@@ -292,40 +283,33 @@ class StabilityMonitor:
     # ------------------------------------------------------------------
     # Snapshot / restore
     # ------------------------------------------------------------------
-    def snapshot(self) -> dict:
-        """The monitor's complete state as a versioned JSON payload.
-
-        This is a thin delegation to the **one** snapshot codec,
-        :func:`repro.runtime.snapshot.snapshot_monitor` — the serving
-        layer, the checkpoint files and the tests all read and write
-        exactly this format (schema + version validated on restore, with
-        the found-vs-expected version named on drift).  See
-        :mod:`repro.runtime.snapshot` for the format and the round-trip
-        guarantee (a restored monitor emits identical
-        :class:`WindowCloseReport` objects thereafter).
+    def snapshot(self) -> Columns:
+        """The monitor's state as columns plus a header, through the one
+        snapshot codec (:func:`repro.runtime.snapshot.snapshot_monitor`).
 
         Raises
         ------
         SnapshotError
-            If the monitor's configuration is not serialisable (custom
-            significance rules have no stable wire format).
+            If the significance rule is not the paper's exponential one
+            (custom rules have no stable wire format).
         """
         from repro.runtime.snapshot import snapshot_monitor
 
         return snapshot_monitor(self)
 
     @classmethod
-    def from_snapshot(cls, payload: dict) -> StabilityMonitor:
-        """Rebuild a monitor from a :meth:`snapshot` payload.
+    def from_snapshot(cls, columns: Columns) -> StabilityMonitor:
+        """Rebuild a monitor from :meth:`snapshot`; it then emits exactly
+        the reports the snapshotted monitor would have.
 
         Raises
         ------
         SnapshotError
-            If the payload is corrupt or from an incompatible version.
+            If the snapshot is corrupt or from an incompatible version.
         """
         from repro.runtime.snapshot import restore_monitor
 
-        return restore_monitor(payload)
+        return restore_monitor(columns)
 
     # ------------------------------------------------------------------
     # Explanation
@@ -336,143 +320,121 @@ class StabilityMonitor:
 
         The monitor keeps one window of evidence, so this explains the most
         recent :class:`WindowCloseReport` (where the alarm fired).
+
+        Raises
+        ------
+        DataError
+            If the customer has never appeared in the stream.
         """
-        self.state_of(customer_id)  # validate the id
-        ranked = sorted(
-            self._last_missing.get(customer_id, {}).items(),
-            key=lambda pair: (-pair[1], pair[0]),
-        )
-        return ranked[:top_k]
+        position, found = _lookup(self._ids, np.asarray([customer_id], dtype=np.int64))
+        if not found[0]:
+            if customer_id in self._current:
+                return []  # registered in the open window: nothing closed yet
+            raise DataError(f"customer {customer_id} not in the stream")
+        row = int(position[0])
+        lo, hi = int(self._offsets[row]), int(self._offsets[row + 1])
+        items, missing = self._items[lo:hi], self._missing[lo:hi]
+        # Highest significance first, ties by item; 0 means "was kept".
+        ranked = np.lexsort((items, -missing))[:top_k]
+        return [(int(items[i]), float(missing[i])) for i in ranked if missing[i] > 0]
 
     # ------------------------------------------------------------------
-    # Internals
+    # Window close
     # ------------------------------------------------------------------
     def _close_current_window(self) -> WindowCloseReport:
-        if (
-            isinstance(self.significance, ExponentialSignificance)
-            and self.counting == "paper"
-        ):
-            return self._close_batched()
-        return self._close_python()
-
-    def _close_python(self) -> WindowCloseReport:
-        """Flexible close path: one significance snapshot per customer."""
-        window_index = self._current_window
-        stabilities: dict[int, float] = {}
-        alarms: list[Alarm] = []
-        for customer_id in sorted(self._states):
-            state = self._states[customer_id]
-            snapshot = state.tracker.significance_snapshot()
-            total = sum(snapshot.values())
-            kept = sum(snapshot.get(item, 0.0) for item in state.current_items)
-            stability = kept / total if total > 0 else math.nan
-            self._record_close(
-                state, window_index, stability, stabilities, alarms,
-                missing={
-                    item: sig
-                    for item, sig in snapshot.items()
-                    if item not in state.current_items and sig > 0.0
-                },
-            )
-        self._current_window += 1
-        return WindowCloseReport(
-            window_index=window_index,
-            stabilities=stabilities,
-            alarms=tuple(alarms),
-        )
-
-    def _close_batched(self) -> WindowCloseReport:
-        """Default-config close path reusing the batch significance kernel.
-
-        All customers' per-item presence counts are flattened into one
-        array and scored with a single vectorised
-        :func:`~repro.core.batch.significance_from_counts` call plus
-        segment sums — instead of one ``math.exp`` per (customer, item).
-        The flattening preserves each tracker's dict order, so the sums
-        (and therefore the stabilities) are bit-identical to
-        :meth:`_close_python`.
+        """Score every customer at the open window, then fold it in: one
+        significance call over the CSR (any non-exponential rule applied
+        element-wise) and segment sums of total and kept mass in CSR order.
         """
         window_index = self._current_window
-        customer_ids = sorted(self._states)
-        flat_items: list[int] = []
-        flat_counts: list[int] = []
-        flat_kept: list[bool] = []
-        n_observed: list[int] = []
-        offsets = [0]
-        for customer_id in customer_ids:
-            state = self._states[customer_id]
-            current = state.current_items
-            for item, count in state.tracker.presence_counts().items():
-                flat_items.append(item)
-                flat_counts.append(count)
-                flat_kept.append(item in current)
-            n_observed.append(state.tracker.n_windows_observed)
-            offsets.append(len(flat_counts))
-        offsets_arr = np.asarray(offsets, dtype=np.int64)
-        counts = np.asarray(flat_counts, dtype=np.float64)
-        kept_mask = np.asarray(flat_kept, dtype=np.float64)
-        # Each tracker counts windows since its own registration, so the
-        # prior-window count k is per customer, broadcast over its items.
-        k_per_item = np.repeat(
-            np.asarray(n_observed, dtype=np.float64), np.diff(offsets_arr)
-        )
-        significance = significance_from_counts(
-            counts, k_per_item, self.significance.alpha
-        )
-        total = _segment_sum(significance, offsets_arr)
-        kept = _segment_sum(significance * kept_mask, offsets_arr)
+        current, self._current = self._current, {}
+        shoppers = np.fromiter(sorted(current), dtype=np.int64, count=len(current))
+        self._add_rows(shoppers)
+        ids, offsets = self._ids, self._offsets
+        lengths = np.diff(offsets)
 
-        stabilities: dict[int, float] = {}
-        alarms: list[Alarm] = []
-        for i, customer_id in enumerate(customer_ids):
-            state = self._states[customer_id]
-            stability = kept[i] / total[i] if total[i] > 0 else math.nan
-            lo, hi = offsets[i], offsets[i + 1]
-            self._record_close(
-                state, window_index, stability, stabilities, alarms,
-                missing={
-                    item: float(sig)
-                    for item, sig, was_kept in zip(
-                        flat_items[lo:hi],
-                        significance[lo:hi],
-                        flat_kept[lo:hi],
-                        strict=True,
-                    )
-                    if not was_kept and sig > 0.0
-                },
+        # The open window's (row, item) pairs, sorted: rows ascend with
+        # the shopper ids and each shopper's items are sorted.
+        item_lists = [sorted(current[cid]) for cid in shoppers.tolist()]
+        window_items = np.fromiter(  # OverflowError past 32-bit item ids
+            itertools.chain.from_iterable(item_lists),
+            dtype=np.int32,
+            count=sum(len(items) for items in item_lists),
+        )
+        window_rows = np.repeat(
+            np.searchsorted(ids, shoppers), [len(items) for items in item_lists]
+        )
+        window_keys = _pair_keys(window_rows, window_items)
+        entry_rows = np.repeat(np.arange(ids.size), lengths)
+        position, kept = _lookup(window_keys, _pair_keys(entry_rows, self._items))
+
+        # Prior windows k per entry, so that l = k - c: windows since
+        # registration ("paper"), or since the item's first purchase.
+        if self.counting == "paper":
+            prior = np.repeat(self._n_windows, lengths)
+        else:
+            prior = window_index - self._first_seen
+        if isinstance(self.significance, ExponentialSignificance):
+            significance = significance_from_counts(
+                self._counts, prior, self.significance.alpha
             )
+        else:
+            rule = self.significance
+            significance = np.array(
+                [
+                    rule(c, k - c)
+                    for c, k in zip(self._counts.tolist(), prior.tolist(), strict=True)
+                ],
+                dtype=np.float64,
+            )
+        total = _segment_sum(significance, offsets)
+        kept_mass = _segment_sum(significance * kept, offsets)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            stability = np.where(total > 0, kept_mass / total, np.nan)
+
+        stabilities = dict(zip(ids.tolist(), stability.tolist(), strict=True))
+        alarms: tuple[Alarm, ...] = ()
+        if window_index >= self.first_alarm_window:
+            alarms = tuple(
+                Alarm(customer_id=cid, window_index=window_index, stability=value)
+                for cid, value in stabilities.items()
+                if value <= self.beta
+            )
+        report = WindowCloseReport(
+            window_index=window_index, stabilities=stabilities, alarms=alarms
+        )
+
+        # Fold the window in: kept items count once more; new items join
+        # the end of their customer's segment (first seen now, in item
+        # order), which keeps every segment in (first-seen, item) order.
+        self._last_stability = stability
+        self._n_windows = self._n_windows + 1
+        new = np.ones(window_keys.size, dtype=bool)
+        new[position[kept]] = False
+        counts_after = self._counts + kept.astype(np.int32)
+        missing = np.where(kept, 0.0, significance)
+        if new.any():
+            new_rows = window_rows[new]
+            at = offsets[new_rows + 1]
+            self._items = np.insert(self._items, at, window_items[new])
+            counts_after = np.insert(counts_after, at, 1)
+            self._first_seen = np.insert(self._first_seen, at, window_index)
+            missing = np.insert(missing, at, 0.0)
+            added = np.bincount(new_rows, minlength=ids.size)
+            self._offsets = offsets + np.concatenate(([0], np.cumsum(added)))
+        self._counts = counts_after
+        self._missing = missing
         self._current_window += 1
-        return WindowCloseReport(
-            window_index=window_index,
-            stabilities=stabilities,
-            alarms=tuple(alarms),
-        )
+        return report
 
-    def _record_close(
-        self,
-        state: CustomerState,
-        window_index: int,
-        stability: float,
-        stabilities: dict[int, float],
-        alarms: list[Alarm],
-        missing: dict[int, float],
-    ) -> None:
-        """Shared bookkeeping for one customer at window close."""
-        stability = float(stability)
-        stabilities[state.customer_id] = stability
-        state.last_stability = stability
-        self._last_missing[state.customer_id] = missing
-        if (
-            window_index >= self.first_alarm_window
-            and not math.isnan(stability)
-            and stability <= self.beta
-        ):
-            alarms.append(
-                Alarm(
-                    customer_id=state.customer_id,
-                    window_index=window_index,
-                    stability=stability,
-                )
-            )
-        state.tracker.observe_window(state.current_items)
-        state.current_items = set()
+    def _add_rows(self, customer_ids: np.ndarray) -> None:
+        """Insert empty rows for the (sorted) ids not yet in the state."""
+        _, known = _lookup(self._ids, customer_ids)
+        fresh = customer_ids[~known]
+        if not fresh.size:
+            return
+        at = np.searchsorted(self._ids, fresh)
+        self._ids = np.insert(self._ids, at, fresh)
+        self._n_windows = np.insert(self._n_windows, at, 0)
+        self._last_stability = np.insert(self._last_stability, at, np.nan)
+        self._offsets = np.insert(self._offsets, at, self._offsets[at])

@@ -11,9 +11,10 @@
   :class:`~repro.runtime.checkpoint.CheckpointJournal`, atomic
   journaling of finished sweep cells so interrupted evaluations resume
   without recomputation;
-* :mod:`repro.runtime.snapshot` — versioned, schema-checked
-  serialisation of :class:`~repro.core.streaming.StabilityMonitor`
-  state with an exact round-trip guarantee;
+* :mod:`repro.runtime.snapshot` — the one snapshot codec: the
+  columnar :class:`~repro.core.streaming.StabilityMonitor` state plus a
+  versioned header, in memory or as one ``.npz``, with an exact
+  round-trip guarantee;
 * :mod:`repro.runtime.faults` — deterministic fault injection (worker
   crashes, slow shards, torn files) for the resilience test harness.
 
@@ -26,12 +27,7 @@ monitor restarts are *restored*; corrupt state is *rejected* with
 from repro.runtime.checkpoint import CheckpointJournal
 from repro.runtime.executor import ExecutionReport, ShardOutcome, run_sharded
 from repro.runtime.faults import FaultPlan, InjectedFault, tear_file
-from repro.runtime.snapshot import (
-    load_snapshot,
-    restore_monitor,
-    save_snapshot,
-    snapshot_monitor,
-)
+from repro.runtime.snapshot import read_columns, restore_monitor, snapshot_monitor, write_columns
 
 __all__ = [
     "CheckpointJournal",
@@ -43,6 +39,6 @@ __all__ = [
     "tear_file",
     "snapshot_monitor",
     "restore_monitor",
-    "save_snapshot",
-    "load_snapshot",
+    "write_columns",
+    "read_columns",
 ]

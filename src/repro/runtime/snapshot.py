@@ -1,70 +1,190 @@
-"""Snapshot/restore for the streaming :class:`~repro.core.streaming.StabilityMonitor`.
+"""The one snapshot codec: named numpy columns plus a JSON header column.
 
-A deployed monitor holds months of accumulated per-customer significance
-state; a process restart used to lose all of it, silently resetting
-every customer's alarm history.  This module serialises the complete
-monitor state to versioned JSON with a **round-trip guarantee**: a
-restored monitor produces byte-for-byte identical
-:class:`~repro.core.streaming.WindowCloseReport` objects for the rest of
-the stream.
+A snapshot of a :class:`~repro.core.streaming.StabilityMonitor` is its
+columnar state as it stands (see :mod:`repro.core.streaming`), as a
+:data:`Columns` mapping: ``customer_id`` / ``n_windows`` /
+``last_stability`` per customer; the presence CSR ``offsets`` +
+``item`` / ``count`` / ``first_seen`` / ``missing`` in (first-seen
+window, item) order, the order the window close sums in; the open
+window's ``current_id`` / ``current_offsets`` / ``current_item``; and a
+``header`` column of UTF-8 JSON holding the schema, version, window
+grid, scoring configuration and stream position.  A restored monitor
+emits bit-identical :class:`~repro.core.streaming.WindowCloseReport`
+objects for the rest of the stream, and ``explain_alarm`` keeps working.
 
-Preserved exactly:
-
-* the window grid (boundaries + months-per-window) and the scoring
-  configuration (``beta``, ``alpha``, counting scheme, burn-in);
-* per customer: the tracker's presence counts and first-seen windows
-  **in first-seen order** (the batched window close flattens dicts in
-  insertion order, so ordering is part of bit-identical equality),
-  the number of observed windows, the accumulating current-window item
-  set and the last stability;
-* stream position: current window, last day seen, finished flag, and
-  the last window's missing-item evidence (so ``explain_alarm`` keeps
-  working across a restart).
-
-Files are written atomically (temp-then-rename).  Loading validates the
-schema name, format version and field shapes; a corrupt, truncated or
-foreign file raises :class:`~repro.errors.SnapshotError` rather than
-being silently ingested.
-
-Only the paper configuration (exponential significance) is
-serialisable — a custom significance rule has no stable wire format, so
-:func:`snapshot_monitor` refuses it loudly.
+The same mapping is the serving pool's worker payload, and
+:func:`write_columns` stores any :data:`Columns` (the serve checkpoint's
+score table too) as one uncompressed ``.npz`` through
+:class:`~repro.atomicio.AtomicBinaryWriter`.  :func:`read_columns` and
+:func:`check_columns` turn truncation, a CRC mismatch, a foreign schema,
+version drift and a missing, mistyped or misshapen column into
+:class:`~repro.errors.SnapshotError`.  Only the paper's exponential
+significance is serialisable: a custom rule has no stable wire format.
 """
 
 from __future__ import annotations
 
+import io
+import itertools
 import json
-import math
+import zipfile
+from collections.abc import Iterable, Mapping
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any
 
-from repro.atomicio import atomic_write_json
-from repro.errors import SnapshotError
+import numpy as np
+
+from repro.atomicio import AtomicBinaryWriter
+from repro.errors import ConfigError, SnapshotError
 
 if TYPE_CHECKING:
     from repro.core.streaming import StabilityMonitor
 
 __all__ = [
+    "Columns",
     "SNAPSHOT_SCHEMA",
     "SNAPSHOT_VERSION",
+    "pack_header",
+    "check_columns",
+    "write_columns",
+    "read_columns",
     "snapshot_monitor",
     "restore_monitor",
-    "save_snapshot",
-    "load_snapshot",
 ]
 
+#: Named 1-d arrays; the in-memory and on-disk shape of every snapshot.
+Columns = dict[str, np.ndarray]
+
 SNAPSHOT_SCHEMA = "repro.stability-monitor"
-SNAPSHOT_VERSION = 1
+SNAPSHOT_VERSION = 2
+
+#: Each state column: the monitor attribute holding it and its dtype.
+_STATE: dict[str, tuple[str, type[np.generic]]] = {
+    "customer_id": ("_ids", np.int64),
+    "n_windows": ("_n_windows", np.int32),
+    "last_stability": ("_last_stability", np.float64),
+    "offsets": ("_offsets", np.int64),
+    "item": ("_items", np.int32),
+    "count": ("_counts", np.int32),
+    "first_seen": ("_first_seen", np.int32),
+    "missing": ("_missing", np.float64),
+}
+_MONITOR_COLUMNS: dict[str, type[np.generic]] = {
+    **{name: dtype for name, (_, dtype) in _STATE.items()},
+    **dict.fromkeys(("current_id", "current_offsets", "current_item"), np.int64),
+}
+
+#: What a damaged archive raises when read (a flipped zip flag bit reads
+#: as an unsupported compression method or as encryption, hence the last two).
+_DECODE_ERRORS = (OSError, ValueError, EOFError, KeyError, zipfile.BadZipFile,
+                  NotImplementedError, RuntimeError)
 
 
-def snapshot_monitor(monitor: StabilityMonitor) -> dict:
-    """The monitor's complete state as a JSON-serialisable payload.
+def pack_header(header: Mapping[str, object]) -> np.ndarray:
+    """A JSON header as a uint8 column."""
+    text = json.dumps(dict(header), sort_keys=True)
+    return np.frombuffer(text.encode("utf-8"), dtype=np.uint8).copy()
+
+
+def check_columns(
+    columns: Columns,
+    schema: str,
+    version: int,
+    dtypes: Mapping[str, type[np.generic]],
+    csr: Iterable[tuple[str, tuple[str, ...], tuple[str, ...]]] = (),
+) -> dict[str, Any]:
+    """Validate a column set; returns its decoded ``header``.
+
+    The header must name ``schema`` and ``version`` (drift names both
+    versions); every column in ``dtypes`` must be present, 1-d and of
+    its dtype; and for each ``(offsets, rows, values)`` CSR, the ``rows``
+    columns must have one entry per row and the ``values`` columns one
+    per entry that ``offsets`` (non-decreasing, from 0) spans.
 
     Raises
     ------
     SnapshotError
-        If the monitor uses a non-exponential significance rule (no
-        stable wire format exists for arbitrary callables).
+        Naming the first check that fails.
+    """
+    for name, dtype in {"header": np.uint8, **dtypes}.items():
+        column = columns.get(name)
+        if not isinstance(column, np.ndarray):
+            raise SnapshotError(f"snapshot missing column {name!r}")
+        if column.dtype != dtype or column.ndim != 1:
+            raise SnapshotError(
+                f"snapshot column {name!r} has dtype {column.dtype} and "
+                f"shape {column.shape}, expected 1-d {np.dtype(dtype)}"
+            )
+    try:
+        header = json.loads(columns["header"].tobytes().decode("utf-8"))
+    except ValueError as exc:
+        raise SnapshotError(f"snapshot header is not JSON: {exc}") from exc
+    if not isinstance(header, dict) or header.get("schema") != schema:
+        raise SnapshotError(f"snapshot header does not name schema {schema!r}")
+    if header.get("version") != version:
+        raise SnapshotError(
+            f"snapshot version drift: found version {header.get('version')!r}, "
+            f"expected version {version}"
+        )
+    for offsets, rows, values in csr:
+        bounds = columns[offsets]
+        if (
+            {len(columns[name]) for name in rows} != {len(bounds) - 1}
+            or {len(columns[name]) for name in values} != {int(bounds[-1])}
+            or bounds[0] != 0
+            or np.any(np.diff(bounds) < 0)
+        ):
+            raise SnapshotError(
+                f"snapshot columns {rows + values} do not fit the CSR {offsets!r}"
+            )
+    return header
+
+
+def write_columns(path: str | Path, columns: Columns) -> Path:
+    """Write columns as one uncompressed ``.npz``, atomically."""
+    buffer = io.BytesIO()
+    np.savez(buffer, **columns)
+    with AtomicBinaryWriter(path) as writer:
+        writer.write(buffer.getvalue())
+    return Path(path)
+
+
+def read_columns(path: str | Path) -> Columns:
+    """Read every column of a :func:`write_columns` file.
+
+    Raises
+    ------
+    SnapshotError
+        If the file cannot be opened, or is truncated, corrupt (CRC
+        mismatch) or not a column archive at all.
+    """
+    try:
+        handle = open(path, "rb")
+    except OSError as exc:
+        raise SnapshotError(f"{path}: cannot read snapshot: {exc}") from exc
+    with handle:
+        try:
+            archive = np.load(handle, allow_pickle=False)
+            if not isinstance(archive, np.lib.npyio.NpzFile):
+                raise ValueError("not a column archive")
+            with archive:
+                return {name: archive[name] for name in archive.files}
+        except _DECODE_ERRORS as exc:
+            raise SnapshotError(
+                f"{path}: corrupt or truncated snapshot: {exc}"
+            ) from exc
+
+
+def snapshot_monitor(monitor: StabilityMonitor) -> Columns:
+    """The monitor's complete state as :data:`Columns`.
+
+    The state arrays are shared, not copied: the monitor replaces them
+    at every window close instead of mutating them.
+
+    Raises
+    ------
+    SnapshotError
+        If the monitor uses a non-exponential significance rule.
     """
     from repro.core.significance import ExponentialSignificance
 
@@ -73,30 +193,10 @@ def snapshot_monitor(monitor: StabilityMonitor) -> dict:
             "only the paper's ExponentialSignificance is snapshot-"
             f"serialisable, got {type(monitor.significance).__name__}"
         )
-    customers = []
-    for customer_id in sorted(monitor._states):
-        state = monitor._states[customer_id]
-        tracker = state.tracker
-        last = state.last_stability
-        customers.append(
-            {
-                "customer_id": customer_id,
-                # item -> count pairs in first-seen (dict insertion)
-                # order; the batched close flattens in this order, so it
-                # must survive the round trip.
-                "presence": [
-                    [item, count] for item, count in tracker._presence.items()
-                ],
-                "first_seen": [
-                    [item, window]
-                    for item, window in tracker._first_seen.items()
-                ],
-                "n_windows_observed": tracker.n_windows_observed,
-                "current_items": sorted(state.current_items),
-                "last_stability": None if math.isnan(last) else float(last),
-            }
-        )
-    return {
+    current_ids = sorted(monitor._current)
+    item_lists = [sorted(monitor._current[cid]) for cid in current_ids]
+    sizes = [len(items) for items in item_lists]
+    header = {
         "schema": SNAPSHOT_SCHEMA,
         "version": SNAPSHOT_VERSION,
         "grid": {
@@ -110,139 +210,76 @@ def snapshot_monitor(monitor: StabilityMonitor) -> dict:
         "current_window": monitor._current_window,
         "last_day_seen": monitor._last_day_seen,
         "finished": monitor._finished,
-        "last_missing": [
-            [customer_id, [[item, sig] for item, sig in missing.items()]]
-            for customer_id, missing in sorted(monitor._last_missing.items())
-        ],
-        "customers": customers,
+    }
+    return {
+        "header": pack_header(header),
+        **{name: getattr(monitor, attr) for name, (attr, _) in _STATE.items()},
+        "current_id": np.asarray(current_ids, dtype=np.int64),
+        "current_offsets": np.cumsum([0] + sizes, dtype=np.int64),
+        "current_item": np.fromiter(
+            itertools.chain.from_iterable(item_lists),
+            dtype=np.int64,
+            count=sum(sizes),
+        ),
     }
 
 
-def _require(payload: dict, field: str, kind: type | tuple[type, ...]) -> object:
-    if field not in payload:
-        raise SnapshotError(f"snapshot missing field {field!r}")
-    value = payload[field]
-    if not isinstance(value, kind):
-        raise SnapshotError(
-            f"snapshot field {field!r} has type {type(value).__name__}, "
-            f"expected {kind}"
-        )
-    return value
-
-
-def _int_pairs(raw: object, field: str) -> list[tuple[int, float]]:
-    if not isinstance(raw, list) or any(
-        not isinstance(pair, list) or len(pair) != 2 for pair in raw
-    ):
-        raise SnapshotError(f"snapshot field {field!r} must be a list of pairs")
-    return [(int(a), b) for a, b in raw]
-
-
-def restore_monitor(payload: dict) -> StabilityMonitor:
-    """Rebuild a monitor from a :func:`snapshot_monitor` payload.
+def restore_monitor(columns: Columns) -> StabilityMonitor:
+    """Rebuild a monitor from a :func:`snapshot_monitor` result.
 
     Raises
     ------
     SnapshotError
-        On any schema, version or shape mismatch.
+        On any schema, version, header field, column, dtype or shape
+        mismatch.
     """
-    from repro.core.significance import ExponentialSignificance, SignificanceTracker
-    from repro.core.streaming import CustomerState, StabilityMonitor
+    from repro.core.significance import ExponentialSignificance
+    from repro.core.streaming import StabilityMonitor
     from repro.core.windowing import WindowGrid
 
-    if not isinstance(payload, dict):
-        raise SnapshotError("snapshot payload must be a JSON object")
-    schema = _require(payload, "schema", str)
-    if schema != SNAPSHOT_SCHEMA:
-        raise SnapshotError(
-            f"snapshot schema {schema!r} is not {SNAPSHOT_SCHEMA!r}"
-        )
-    version = _require(payload, "version", int)
-    if version != SNAPSHOT_VERSION:
-        raise SnapshotError(
-            f"snapshot version drift: found version {version}, "
-            f"expected version {SNAPSHOT_VERSION}"
-        )
-    grid_payload = _require(payload, "grid", dict)
-    boundaries = _require(grid_payload, "boundaries", list)
-    months = grid_payload.get("months_per_window")
-    grid = WindowGrid(
-        boundaries=tuple(int(b) for b in boundaries),
-        months_per_window=None if months is None else int(months),
+    header = check_columns(
+        columns,
+        SNAPSHOT_SCHEMA,
+        SNAPSHOT_VERSION,
+        _MONITOR_COLUMNS,
+        csr=[
+            (
+                "offsets",
+                ("customer_id", "n_windows", "last_stability"),
+                ("item", "count", "first_seen", "missing"),
+            ),
+            ("current_offsets", ("current_id",), ("current_item",)),
+        ],
     )
-    monitor = StabilityMonitor(
-        grid,
-        beta=_require(payload, "beta", (int, float)),
-        significance=ExponentialSignificance(
-            _require(payload, "alpha", (int, float))
-        ),
-        counting=_require(payload, "counting", str),
-        first_alarm_window=_require(payload, "first_alarm_window", int),
-    )
-    monitor._current_window = _require(payload, "current_window", int)
-    monitor._last_day_seen = _require(payload, "last_day_seen", int)
-    monitor._finished = _require(payload, "finished", bool)
-    for customer_id, missing_pairs in _require(payload, "last_missing", list):
-        monitor._last_missing[int(customer_id)] = {
-            item: float(sig)
-            for item, sig in _int_pairs(missing_pairs, "last_missing")
-        }
-    for record in _require(payload, "customers", list):
-        if not isinstance(record, dict):
-            raise SnapshotError("snapshot customer record must be an object")
-        customer_id = int(_require(record, "customer_id", int))
-        tracker = SignificanceTracker(
-            monitor.significance, counting=monitor.counting
+    for name in ("customer_id", "current_id"):
+        if np.any(np.diff(columns[name]) <= 0):
+            raise SnapshotError(f"snapshot column {name!r} is not strictly ascending")
+    try:
+        months = header["grid"]["months_per_window"]
+        monitor = StabilityMonitor(
+            WindowGrid(
+                boundaries=tuple(int(b) for b in header["grid"]["boundaries"]),
+                months_per_window=None if months is None else int(months),
+            ),
+            beta=float(header["beta"]),
+            significance=ExponentialSignificance(float(header["alpha"])),
+            counting=str(header["counting"]),
+            first_alarm_window=int(header["first_alarm_window"]),
         )
-        # Rebuild the dicts pair-by-pair so insertion (first-seen) order
-        # is preserved exactly.
-        for item, count in _int_pairs(record.get("presence", []), "presence"):
-            tracker._presence[item] = int(count)
-        for item, window in _int_pairs(
-            record.get("first_seen", []), "first_seen"
-        ):
-            tracker._first_seen[item] = int(window)
-        tracker._n_windows = int(_require(record, "n_windows_observed", int))
-        last = record.get("last_stability")
-        monitor._states[customer_id] = CustomerState(
-            customer_id=customer_id,
-            tracker=tracker,
-            current_items={
-                int(item) for item in record.get("current_items", [])
-            },
-            last_stability=math.nan if last is None else float(last),
+        monitor._current_window = int(header["current_window"])
+        monitor._last_day_seen = int(header["last_day_seen"])
+        monitor._finished = bool(header["finished"])
+    except (KeyError, TypeError, ValueError, ConfigError) as exc:
+        raise SnapshotError(f"snapshot header is malformed: {exc!r}") from exc
+    for name, (attr, _) in _STATE.items():
+        # A copy: the monitor must not share arrays its caller may mutate.
+        setattr(monitor, attr, columns[name].copy())
+    bounds = columns["current_offsets"].tolist()
+    items = columns["current_item"].tolist()
+    monitor._current = {
+        cid: set(items[lo:hi])
+        for cid, lo, hi in zip(
+            columns["current_id"].tolist(), bounds[:-1], bounds[1:], strict=True
         )
+    }
     return monitor
-
-
-def save_snapshot(monitor: StabilityMonitor, path: str | Path) -> Path:
-    """Write a monitor snapshot atomically (temp-then-rename)."""
-    path = Path(path)
-    payload = snapshot_monitor(monitor)
-    return atomic_write_json(path, payload)
-
-
-def load_snapshot(path: str | Path) -> StabilityMonitor:
-    """Restore a monitor from a snapshot file.
-
-    Raises
-    ------
-    SnapshotError
-        If the file is unreadable, corrupt/truncated, or fails schema
-        validation.
-    """
-    path = Path(path)
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise SnapshotError(f"{path}: cannot read snapshot: {exc}") from exc
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SnapshotError(
-            f"{path}: corrupt or truncated snapshot (invalid JSON)"
-        ) from exc
-    try:
-        return restore_monitor(payload)
-    except SnapshotError as exc:
-        raise SnapshotError(f"{path}: {exc}") from None

@@ -4,8 +4,8 @@ The serving loop's crash contract — *max rework after a crash is one
 batch* — is carried entirely by the write ordering here:
 
 1. :meth:`ServeCheckpoint.write_state` writes the batch's artifacts
-   (one snapshot file per shard plus the upserted score table) into a
-   **new** commit-indexed directory, each file atomically;
+   (one ``.npz`` snapshot per shard plus the upserted score table) into
+   a **new** commit-indexed directory, each file atomically;
 2. :meth:`ServeCheckpoint.commit` atomically replaces ``cursor.json``
    — the single commit point — with a cursor referencing that
    directory, then prunes superseded state directories.
@@ -19,32 +19,50 @@ count the rework in telemetry.
 A cursor is only trusted when it matches the run being resumed: the
 recorded stream's content fingerprint, the serving-config fingerprint
 and the shard count are all pinned inside it.  Any mismatch — or a
-torn/corrupt cursor, or missing state files — raises
-:class:`CursorInvalid`, and the loop falls back to restarting from the
-stream head (Snippet-2 semantics: idempotent score upsert, warning
-logged) rather than resuming into the wrong data.
+torn/corrupt cursor, or a missing, truncated or corrupt state file —
+raises :class:`CursorInvalid`, and the loop falls back to restarting
+from the stream head (Snippet-2 semantics: idempotent score upsert,
+warning logged) rather than resuming into the wrong data.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import logging
+import math
 import shutil
 import time
-from collections.abc import Callable
-from dataclasses import dataclass
+from collections.abc import Callable, Sequence
+from dataclasses import dataclass, field
 from pathlib import Path
+from typing import TYPE_CHECKING
+
+import numpy as np
 
 from repro.atomicio import atomic_write_json
-from repro.errors import ConfigError, ServeError
+from repro.errors import ConfigError, ServeError, SnapshotError
 from repro.obs import get_metrics
 from repro.obs import metrics as obs_metrics
+from repro.runtime.snapshot import (
+    Columns,
+    check_columns,
+    pack_header,
+    read_columns,
+    restore_monitor,
+    write_columns,
+)
+
+if TYPE_CHECKING:
+    from repro.core.streaming import StabilityMonitor
 
 __all__ = [
     "CURSOR_NAME",
     "CURSOR_SCHEMA",
     "CURSOR_VERSION",
     "SCORES_NAME",
+    "ScoreRecord",
+    "ScoreTable",
     "CursorInvalid",
     "CheckpointIOExhausted",
     "ServeCursor",
@@ -63,7 +81,16 @@ CURSOR_NAME = "cursor.json"
 CURSOR_SCHEMA = "repro.serve-cursor"
 CURSOR_VERSION = 1
 #: Score-table file inside each state directory.
-SCORES_NAME = "scores.json"
+SCORES_NAME = "scores.npz"
+SCORES_SCHEMA = "repro.serve-scores"
+SCORES_VERSION = 1
+_SCORE_COLUMNS: dict[str, type[np.generic]] = {
+    "customer_id": np.int64,
+    "stability": np.float64,
+    "alarm_offsets": np.int64,
+    "alarm_window": np.int64,
+    "alarm_stability": np.float64,
+}
 
 #: Counter names a cursor persists (the Snippet-2 runbook quartet).
 _COUNTER_KEYS = ("ingested", "scored", "flagged", "checkpointed")
@@ -81,6 +108,75 @@ class CheckpointIOExhausted(ServeError):
     ENOSPC/EACCES), not transiently flaky, so the run must stop.  The
     committed cursor is untouched: a later resume reworks at most one
     batch, exactly as after a crash."""
+
+
+@dataclass
+class ScoreRecord:
+    """One customer's entry in the served score table."""
+
+    stability: float = math.nan
+    alarm_windows: dict[int, float] = field(default_factory=dict)
+
+    @property
+    def flagged(self) -> bool:
+        """Whether the customer ever alarmed."""
+        return bool(self.alarm_windows)
+
+
+#: The served score table, keyed by customer id.
+ScoreTable = dict[int, ScoreRecord]
+
+
+def encode_scores(table: ScoreTable) -> Columns:
+    """The score table as ``scores.npz`` columns: one row per customer
+    (ids ascending) plus a CSR of its alarms in window order."""
+    ids = sorted(table)
+    alarms = [sorted(table[cid].alarm_windows.items()) for cid in ids]
+    flat = list(itertools.chain.from_iterable(alarms))
+    return {
+        "header": pack_header({"schema": SCORES_SCHEMA, "version": SCORES_VERSION}),
+        "customer_id": np.asarray(ids, dtype=np.int64),
+        "stability": np.asarray([table[c].stability for c in ids], dtype=np.float64),
+        "alarm_offsets": np.cumsum([0] + [len(a) for a in alarms], dtype=np.int64),
+        "alarm_window": np.asarray([w for w, _ in flat], dtype=np.int64),
+        "alarm_stability": np.asarray([v for _, v in flat], dtype=np.float64),
+    }
+
+
+def decode_scores(columns: Columns) -> ScoreTable:
+    """Rebuild the score table from :func:`encode_scores` columns.
+
+    Raises
+    ------
+    SnapshotError
+        On a schema/version mismatch or a missing, mistyped or
+        misshapen column.
+    """
+    check_columns(
+        columns,
+        SCORES_SCHEMA,
+        SCORES_VERSION,
+        _SCORE_COLUMNS,
+        csr=[
+            (
+                "alarm_offsets",
+                ("customer_id", "stability"),
+                ("alarm_window", "alarm_stability"),
+            )
+        ],
+    )
+    bounds = columns["alarm_offsets"].tolist()
+    alarms = list(
+        zip(columns["alarm_window"].tolist(), columns["alarm_stability"].tolist())
+    )
+    rows = zip(
+        columns["customer_id"].tolist(),
+        columns["stability"].tolist(),
+        bounds[:-1],
+        bounds[1:],
+        strict=True,
+    )
+    return {cid: ScoreRecord(value, dict(alarms[lo:hi])) for cid, value, lo, hi in rows}
 
 
 @dataclass(frozen=True)
@@ -164,8 +260,8 @@ class LoadedCheckpoint:
     """Everything a resume needs, read back from a valid checkpoint."""
 
     cursor: ServeCursor
-    shard_payloads: list[dict]
-    scores: dict
+    monitors: list[StabilityMonitor]
+    scores: ScoreTable
     #: A state directory newer than the cursor exists: a previous run
     #: crashed between its state write and the cursor commit, so the
     #: resumed run will rework exactly that one batch.
@@ -220,6 +316,14 @@ class ServeCheckpoint:
         """The state directory of one commit."""
         return self.directory / f"state-{commit_index:06d}"
 
+    def shard_path(self, commit_index: int, shard: int) -> Path:
+        """One shard's monitor snapshot inside a commit's state directory."""
+        return self.state_dir(commit_index) / f"shard-{shard:04d}.npz"
+
+    def scores_path(self, commit_index: int) -> Path:
+        """The score table inside a commit's state directory."""
+        return self.state_dir(commit_index) / SCORES_NAME
+
     # ------------------------------------------------------------------
     # Write protocol: state first, cursor second (the commit point).
     # ------------------------------------------------------------------
@@ -268,8 +372,8 @@ class ServeCheckpoint:
     def write_state(
         self,
         commit_index: int,
-        shard_payloads: list[dict],
-        scores: dict,
+        shard_payloads: Sequence[Columns],
+        scores: ScoreTable,
     ) -> Path:
         """Write one commit's shard snapshots + score table (atomically
         per file, into a directory the current cursor does not reference
@@ -279,13 +383,12 @@ class ServeCheckpoint:
         directory, which is safe because nothing references it yet."""
 
         def write() -> Path:
-            directory = self.state_dir(commit_index)
             for shard, payload in enumerate(shard_payloads):
-                atomic_write_json(
-                    directory / f"shard-{shard:04d}.json", payload
-                )
-            atomic_write_json(directory / SCORES_NAME, scores)
-            return directory
+                write_columns(self.shard_path(commit_index, shard), payload)
+            write_columns(
+                self.scores_path(commit_index), encode_scores(scores)
+            )
+            return self.state_dir(commit_index)
 
         return self._with_io_retry("write_state", commit_index, write)
 
@@ -363,33 +466,20 @@ class ServeCheckpoint:
                 f"cursor has {cursor.n_shards} shard(s), resuming with "
                 f"{n_shards}"
             )
-        directory = self.state_dir(cursor.commit_index)
-        shard_payloads: list[dict] = []
-        for shard in range(n_shards):
-            shard_payloads.append(
-                self._read_json(directory / f"shard-{shard:04d}.json")
-            )
-        scores = self._read_json(directory / SCORES_NAME)
+        commit = cursor.commit_index
+        try:
+            monitors = [
+                restore_monitor(read_columns(self.shard_path(commit, shard)))
+                for shard in range(n_shards)
+            ]
+            scores = decode_scores(read_columns(self.scores_path(commit)))
+        except SnapshotError as exc:
+            raise CursorInvalid(
+                f"committed state is missing, torn or corrupt: {exc}"
+            ) from exc
         return LoadedCheckpoint(
             cursor=cursor,
-            shard_payloads=shard_payloads,
+            monitors=monitors,
             scores=scores,
             orphaned_state=self.state_dir(cursor.commit_index + 1).exists(),
         )
-
-    @staticmethod
-    def _read_json(path: Path) -> dict:
-        try:
-            payload = json.loads(path.read_text())
-        except OSError as exc:
-            raise CursorInvalid(
-                f"{path}: committed state file is missing or unreadable: "
-                f"{exc}"
-            ) from exc
-        except json.JSONDecodeError as exc:
-            raise CursorInvalid(
-                f"{path}: committed state file is torn (invalid JSON)"
-            ) from exc
-        if not isinstance(payload, dict):
-            raise CursorInvalid(f"{path}: state file is not a JSON object")
-        return payload

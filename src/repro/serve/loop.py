@@ -37,18 +37,20 @@ import json
 import logging
 import math
 from collections.abc import Callable, Iterable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
 
 from repro.config import ExperimentConfig
 from repro.core.streaming import StabilityMonitor, WindowCloseReport
-from repro.errors import ConfigError, SnapshotError
+from repro.errors import ConfigError
 from repro.obs import build_manifest, get_metrics, get_tracer, timed_stage, write_manifest
 from repro.obs import metrics as obs_metrics
 from repro.obs.manifest import config_fingerprint
 from repro.serve.checkpoint import (
     CursorInvalid,
+    ScoreRecord,
+    ScoreTable,
     ServeCheckpoint,
     ServeCursor,
 )
@@ -105,18 +107,6 @@ class ServeCounters:
             flagged=int(payload.get("flagged", 0)),
             checkpointed=int(payload.get("checkpointed", 0)),
         )
-
-
-@dataclass
-class _CustomerRecord:
-    """Mutable score-table entry; frozen into the result at the end."""
-
-    stability: float = math.nan
-    flagged: bool = False
-    alarm_windows: dict[int, float] = field(default_factory=dict)
-
-
-_ScoreTable = dict[int, _CustomerRecord]
 
 
 @dataclass(frozen=True)
@@ -193,7 +183,7 @@ def score_fingerprint(
 # Score table: idempotent upsert from window-close reports.
 # ----------------------------------------------------------------------
 def _apply_reports(
-    table: _ScoreTable,
+    table: ScoreTable,
     reports: Iterable[WindowCloseReport],
     counters: ServeCounters,
     status: StatusBoard | None,
@@ -204,13 +194,12 @@ def _apply_reports(
     touched: set[int] = set()
     for report in reports:
         for customer_id, stability in report.stabilities.items():
-            record = table.setdefault(customer_id, _CustomerRecord())
+            record = table.setdefault(customer_id, ScoreRecord())
             record.stability = stability
             counters.scored += 1
             touched.add(customer_id)
         for alarm in report.alarms:
             record = table[alarm.customer_id]
-            record.flagged = True
             if alarm.window_index not in record.alarm_windows:
                 record.alarm_windows[alarm.window_index] = alarm.stability
                 counters.flagged += 1
@@ -226,7 +215,7 @@ def _apply_reports(
 
 
 def _freeze_table(
-    table: _ScoreTable,
+    table: ScoreTable,
 ) -> tuple[
     dict[int, float],
     dict[int, bool],
@@ -243,43 +232,6 @@ def _freeze_table(
             sorted(record.alarm_windows.items())
         )
     return scores, flags, alarm_windows
-
-
-def _table_to_payload(table: _ScoreTable) -> dict:
-    return {
-        "customers": {
-            str(customer_id): {
-                "stability": None
-                if math.isnan(record.stability)
-                else record.stability,
-                "flagged": record.flagged,
-                "alarm_windows": [
-                    [w, s] for w, s in sorted(record.alarm_windows.items())
-                ],
-            }
-            for customer_id, record in sorted(table.items())
-        }
-    }
-
-
-def _table_from_payload(payload: dict) -> _ScoreTable:
-    table: _ScoreTable = {}
-    customers = payload.get("customers", {})
-    if not isinstance(customers, dict):
-        raise CursorInvalid("score table payload is malformed")
-    for key, record in customers.items():
-        if not isinstance(record, dict):
-            raise CursorInvalid(f"score record for customer {key} malformed")
-        stability = record.get("stability")
-        table[int(key)] = _CustomerRecord(
-            stability=math.nan if stability is None else float(stability),
-            flagged=bool(record.get("flagged", False)),
-            alarm_windows={
-                int(w): float(s)
-                for w, s in record.get("alarm_windows", [])
-            },
-        )
-    return table
 
 
 # ----------------------------------------------------------------------
@@ -305,7 +257,7 @@ def offline_sweep(
     )
     reports = monitor.ingest_many(baskets)
     reports.extend(monitor.finish())
-    table: _ScoreTable = {}
+    table: ScoreTable = {}
     _apply_reports(table, reports, ServeCounters(), None)
     scores, flags, alarm_windows = _freeze_table(table)
     return OfflineSweep(
@@ -454,7 +406,7 @@ def serve_stream(
     tracer = get_tracer()
 
     counters = ServeCounters()
-    table: _ScoreTable = {}
+    table: ScoreTable = {}
     pool: ShardedMonitorPool | None = None
     resumed = False
     reworked = 0
@@ -474,15 +426,15 @@ def serve_stream(
             n_shards=n_shards,
         )
         if loaded is not None:
-            pool = ShardedMonitorPool.from_snapshots(
-                loaded.shard_payloads,
+            pool = ShardedMonitorPool(
+                loaded.monitors,
                 parallel=parallel,
                 retries=retries,
                 timeout=timeout,
                 fault_plan=fault_plan,
             )
-            table = _table_from_payload(loaded.scores)
-    except (CursorInvalid, SnapshotError) as exc:
+            table = loaded.scores
+    except CursorInvalid as exc:
         logger.warning(
             "cursor invalid on resume, restarting from stream head: %s", exc
         )
@@ -614,9 +566,7 @@ def serve_stream(
             finished=finished,
         ):
             checkpoint.write_state(
-                commit_index,
-                active_pool.snapshot_shards(),
-                _table_to_payload(table),
+                commit_index, active_pool.snapshot_shards(), table
             )
             if on_state_written is not None:
                 on_state_written(commit_index)

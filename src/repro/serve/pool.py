@@ -16,15 +16,15 @@ through three properties:
   (:meth:`StabilityMonitor.advance_to_day`), so all shards close the
   same windows at the same stream positions even on days none of their
   customers shopped;
-* a customer's tracker state is content-determined (window item sets
-  are folded in sorted order), so the basket interleaving *across*
+* a customer's state is content-determined (each window's item set
+  merges into its CSR segment sorted), so the basket interleaving *across*
   customers never affects any one customer's scores;
-* the parallel path round-trips each shard's state through the
-  versioned snapshot codec (:mod:`repro.runtime.snapshot`), whose
-  round-trip guarantee pins that a restored monitor emits identical
-  reports — the same slab-reference pattern the batch engine uses, so a
-  retried or degraded worker attempt recomputes from the exact same
-  state (``fn`` stays pure/idempotent as ``run_sharded`` requires).
+* the parallel path round-trips each shard's state through the one
+  snapshot codec (:mod:`repro.runtime.snapshot`: the monitor's columns
+  plus a small header), whose round-trip guarantee pins that a restored
+  monitor emits identical reports, so a retried or degraded worker
+  attempt recomputes from the exact same state (``fn`` stays
+  pure/idempotent as ``run_sharded`` requires).
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from repro.data.basket import Basket
 from repro.data.streams import DayBatch
 from repro.errors import ConfigError
 from repro.runtime.executor import ExecutionReport, run_sharded
-from repro.runtime.snapshot import restore_monitor, snapshot_monitor
+from repro.runtime.snapshot import Columns, restore_monitor, snapshot_monitor
 
 if TYPE_CHECKING:
     from repro.core.significance import SignificanceFunction
@@ -56,7 +56,7 @@ _WireReport = tuple[
     tuple[tuple[int, float], ...],
     tuple[tuple[int, int, float], ...],
 ]
-_ShardTask = tuple[dict, tuple[_WireDay, ...]]
+_ShardTask = tuple[Columns, tuple[_WireDay, ...]]
 
 
 def shard_of(customer_id: int, n_shards: int) -> int:
@@ -118,7 +118,7 @@ def _deserialize_report(wire: _WireReport) -> WindowCloseReport:
     )
 
 
-def _process_shard_batch(task: _ShardTask) -> tuple[dict, tuple[_WireReport, ...]]:
+def _process_shard_batch(task: _ShardTask) -> tuple[Columns, tuple[_WireReport, ...]]:
     """Worker: restore one shard, play one batch of days, snapshot back.
 
     Pure in the :func:`run_sharded` sense — state in, state out, no side
@@ -225,31 +225,6 @@ class ShardedMonitorPool:
             fault_plan=fault_plan,
         )
 
-    @classmethod
-    def from_snapshots(
-        cls,
-        payloads: Sequence[dict],
-        *,
-        parallel: bool = False,
-        retries: int = 2,
-        timeout: float | None = None,
-        fault_plan: FaultPlan | None = None,
-    ) -> ShardedMonitorPool:
-        """Restore a pool from per-shard snapshot payloads (a checkpoint).
-
-        Raises
-        ------
-        SnapshotError
-            If any payload is corrupt or from an incompatible version.
-        """
-        return cls(
-            [restore_monitor(payload) for payload in payloads],
-            parallel=parallel,
-            retries=retries,
-            timeout=timeout,
-            fault_plan=fault_plan,
-        )
-
     def set_fault_plan(self, fault_plan: FaultPlan | None) -> None:
         """Swap the injected fault plan for subsequent batches.
 
@@ -260,8 +235,8 @@ class ShardedMonitorPool:
         """
         self.fault_plan = fault_plan
 
-    def snapshot_shards(self) -> list[dict]:
-        """One versioned snapshot payload per shard, in shard order."""
+    def snapshot_shards(self) -> list[Columns]:
+        """One monitor snapshot per shard, in shard order."""
         return [snapshot_monitor(monitor) for monitor in self.monitors]
 
     def customers(self) -> list[int]:

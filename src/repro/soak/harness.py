@@ -527,8 +527,7 @@ class _LoopRunner:
             # batch's state dir — the seal's own dir is the survivor.
             state_commit = cell.batch + 1 if result.finished else cell.batch
             torn = tear_file(
-                checkpoint.state_dir(state_commit) / "shard-0000.json",
-                keep_fraction=0.5,
+                checkpoint.shard_path(state_commit, 0), keep_fraction=0.5
             )
         before_invalid = self.registry.counter_value(
             obs_metrics.SERVE_CURSOR_INVALID

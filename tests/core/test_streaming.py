@@ -70,9 +70,9 @@ class TestValidation:
         with pytest.raises(DataError, match="finished"):
             monitor.ingest(_basket(1, 0, [1]))
 
-    def test_unknown_customer_state_rejected(self, grid):
+    def test_unknown_customer_explain_rejected(self, grid):
         with pytest.raises(DataError, match="not in the stream"):
-            StabilityMonitor(grid).state_of(9)
+            StabilityMonitor(grid).explain_alarm(9)
 
 
 class TestWindowClosing:
@@ -164,8 +164,9 @@ class TestRegistration:
 
 class TestBatchEquivalence:
     def test_python_fallback_matches_incremental_model(self, calendar, small_dataset):
-        """Non-exponential significance routes through the pure-Python
-        close path and must still match the incremental model."""
+        """A non-exponential significance rule is applied element-wise
+        in the one close path and must still match the incremental
+        model."""
         from repro.core.significance import FrequencyRatioSignificance
 
         customers = small_dataset.log.customers()[:6]
@@ -214,3 +215,34 @@ class TestBatchEquivalence:
                     assert math.isnan(streamed)
                 else:
                     assert streamed == pytest.approx(batch)
+
+    def test_since_first_seen_ignores_registration_window(self, grid):
+        """Under since-first-seen counting absences start at each item's
+        first purchase, so registering a customer up front or at its
+        first basket must not change any score — even where alpha
+        saturates the significance cap."""
+        from repro.core.significance import ExponentialSignificance
+
+        history = [(20, [1, 2]), (30, [1]), (40, [1, 3]), (50, [1])]
+
+        def scores(preregister: bool) -> dict[int, float]:
+            monitor = StabilityMonitor(
+                grid,
+                significance=ExponentialSignificance(1e300),
+                counting="since-first-seen",
+            )
+            if preregister:
+                monitor.register(1)
+            reports = monitor.ingest_many(
+                [_basket(1, day, items) for day, items in history]
+            )
+            reports += monitor.finish()
+            return {
+                r.window_index: r.stabilities[1]
+                for r in reports
+                if 1 in r.stabilities and r.window_index >= 3
+            }
+
+        assert scores(True) == scores(False) == pytest.approx(
+            {3: 0.5, 4: 1.0, 5: 0.9999014129549261}
+        )

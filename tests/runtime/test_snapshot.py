@@ -1,16 +1,16 @@
 """Tests for StabilityMonitor snapshot/restore.
 
 The contract under test is the round-trip guarantee: interrupting a
-stream at any point, snapshotting, restoring (even through a JSON
-serialisation cycle) and feeding the rest of the stream must produce
-exactly the reports an uninterrupted monitor produces.
+stream at any point, snapshotting, restoring (even through the on-disk
+``.npz`` codec) and feeding the rest of the stream must produce exactly
+the reports an uninterrupted monitor produces.
 """
 
 from __future__ import annotations
 
-import json
 import math
 
+import numpy as np
 import pytest
 
 from repro.config import ExperimentConfig
@@ -19,11 +19,13 @@ from repro.core.streaming import StabilityMonitor, WindowCloseReport
 from repro.errors import SnapshotError
 from repro.runtime.faults import tear_file
 from repro.runtime.snapshot import (
+    SNAPSHOT_SCHEMA,
     SNAPSHOT_VERSION,
-    load_snapshot,
+    pack_header,
+    read_columns,
     restore_monitor,
-    save_snapshot,
     snapshot_monitor,
+    write_columns,
 )
 
 
@@ -52,7 +54,16 @@ def _monitor(dataset) -> StabilityMonitor:
     return StabilityMonitor.from_config(dataset.calendar, config, beta=0.5)
 
 
-def test_round_trip_mid_stream(tiny_dataset):
+def _with_header(columns, **changes):
+    header = {
+        "schema": SNAPSHOT_SCHEMA,
+        "version": SNAPSHOT_VERSION,
+        **changes,
+    }
+    return dict(columns, header=pack_header(header))
+
+
+def test_round_trip_mid_stream(tiny_dataset, tmp_path):
     baskets = _stream(tiny_dataset)
     cut = len(baskets) // 2
 
@@ -62,9 +73,9 @@ def test_round_trip_mid_stream(tiny_dataset):
 
     interrupted = _monitor(tiny_dataset)
     head_reports = interrupted.ingest_many(baskets[:cut])
-    # Snapshot through a full JSON cycle — what a file sees.
-    payload = json.loads(json.dumps(interrupted.snapshot()))
-    restored = StabilityMonitor.from_snapshot(payload)
+    # Snapshot through the file codec — what a checkpoint sees.
+    path = write_columns(tmp_path / "monitor.npz", interrupted.snapshot())
+    restored = StabilityMonitor.from_snapshot(read_columns(path))
     tail_reports = restored.ingest_many(baskets[cut:])
     tail_reports += restored.finish()
 
@@ -80,8 +91,8 @@ def test_save_load_file(tiny_dataset, tmp_path):
     baskets = _stream(tiny_dataset)
     monitor = _monitor(tiny_dataset)
     monitor.ingest_many(baskets[: len(baskets) // 3])
-    path = save_snapshot(monitor, tmp_path / "monitor.json")
-    restored = load_snapshot(path)
+    path = write_columns(tmp_path / "monitor.npz", monitor.snapshot())
+    restored = StabilityMonitor.from_snapshot(read_columns(path))
     assert restored.current_window == monitor.current_window
     assert restored.customers() == monitor.customers()
     leftovers = [p for p in tmp_path.iterdir() if p.name.startswith(".")]
@@ -91,15 +102,15 @@ def test_save_load_file(tiny_dataset, tmp_path):
 def test_torn_snapshot_detected(tiny_dataset, tmp_path):
     monitor = _monitor(tiny_dataset)
     monitor.ingest_many(_stream(tiny_dataset)[:20])
-    path = save_snapshot(monitor, tmp_path / "monitor.json")
+    path = write_columns(tmp_path / "monitor.npz", monitor.snapshot())
     tear_file(path, keep_fraction=0.6)
     with pytest.raises(SnapshotError, match="corrupt or truncated"):
-        load_snapshot(path)
+        read_columns(path)
 
 
 def test_missing_file_raises(tmp_path):
     with pytest.raises(SnapshotError, match="cannot read"):
-        load_snapshot(tmp_path / "absent.json")
+        read_columns(tmp_path / "absent.npz")
 
 
 def test_version_and_schema_validation(tiny_dataset):
@@ -107,25 +118,37 @@ def test_version_and_schema_validation(tiny_dataset):
     monitor.ingest_many(_stream(tiny_dataset)[:10])
     payload = snapshot_monitor(monitor)
 
-    wrong_schema = dict(payload, schema="something-else")
+    wrong_schema = _with_header(payload, schema="something-else")
     with pytest.raises(SnapshotError, match="schema"):
         restore_monitor(wrong_schema)
 
-    wrong_version = dict(payload, version=SNAPSHOT_VERSION + 1)
-    with pytest.raises(SnapshotError, match="version"):
+    wrong_version = _with_header(payload, version=SNAPSHOT_VERSION + 1)
+    with pytest.raises(
+        SnapshotError,
+        match=(
+            f"found version {SNAPSHOT_VERSION + 1}, "
+            f"expected version {SNAPSHOT_VERSION}"
+        ),
+    ):
         restore_monitor(wrong_version)
 
-    del payload["customers"]
-    with pytest.raises(SnapshotError, match="customers"):
-        restore_monitor(payload)
+    without_ids = {k: v for k, v in payload.items() if k != "customer_id"}
+    with pytest.raises(SnapshotError, match="customer_id"):
+        restore_monitor(without_ids)
 
 
 def test_malformed_pairs_rejected(tiny_dataset):
+    """The CSR's item/count columns must pair up entry for entry."""
     monitor = _monitor(tiny_dataset)
     monitor.ingest_many(_stream(tiny_dataset)[:10])
+    monitor.finish()
     payload = snapshot_monitor(monitor)
-    payload["customers"][0]["presence"] = [[1, 2, 3]]
-    with pytest.raises(SnapshotError, match="presence"):
+    payload["count"] = np.append(payload["count"], np.int32(1))
+    with pytest.raises(SnapshotError, match="'count'.* do not fit the CSR 'offsets'"):
+        restore_monitor(payload)
+    payload = snapshot_monitor(monitor)
+    payload["item"] = payload["item"].astype(np.int64)
+    with pytest.raises(SnapshotError, match="'item' has dtype int64"):
         restore_monitor(payload)
 
 

@@ -11,7 +11,11 @@ from pathlib import Path
 import pytest
 
 from repro.config import ExperimentConfig
+from repro.core.streaming import StabilityMonitor
+from repro.core.windowing import WindowGrid
+from repro.data.basket import Basket
 from repro.serve import OfflineSweep, offline_sweep_stream
+from repro.serve.checkpoint import ScoreRecord
 from repro.synth import ScenarioConfig, generate_dataset
 from repro.synth.stream import record_stream
 
@@ -49,3 +53,22 @@ def serve_config() -> ExperimentConfig:
 def offline_reference(stream_path, serve_config) -> OfflineSweep:
     """The batch sweep every served run must match bit-for-bit."""
     return offline_sweep_stream(stream_path, config=serve_config)
+
+
+@pytest.fixture()
+def shard_snapshot():
+    """A valid monitor snapshot: two customers, one window closed."""
+    monitor = StabilityMonitor(WindowGrid.daily(total_days=30, days_per_window=10))
+    monitor.ingest_many(
+        [Basket.of(1, 0, [1, 2]), Basket.of(2, 3, [5]), Basket.of(1, 12, [2])]
+    )
+    return monitor.snapshot()
+
+
+@pytest.fixture()
+def score_table():
+    """A small served score table with one flagged customer."""
+    return {
+        1: ScoreRecord(stability=0.25, alarm_windows={1: 0.25}),
+        2: ScoreRecord(stability=0.75),
+    }

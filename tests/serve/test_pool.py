@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.core.streaming import StabilityMonitor
@@ -126,7 +127,9 @@ class TestSharding:
             counting=serve_config.counting,
         )
         actual = first.process_batch(batches[:cut])
-        second = ShardedMonitorPool.from_snapshots(first.snapshot_shards())
+        second = ShardedMonitorPool(
+            [StabilityMonitor.from_snapshot(s) for s in first.snapshot_shards()]
+        )
         actual.extend(second.process_batch(batches[cut:]))
         actual.extend(second.finish())
         _assert_reports_identical(actual, expected)
@@ -185,6 +188,9 @@ class TestWorkerPurity:
             for batch in iter_day_batches(day_ordered_baskets[:200])
         )
         task = (snapshot_monitor(monitor), days)
-        first = _process_shard_batch(task)
-        second = _process_shard_batch(task)
-        assert first == second
+        first_state, first_reports = _process_shard_batch(task)
+        second_state, second_reports = _process_shard_batch(task)
+        assert first_reports == second_reports
+        assert first_state.keys() == second_state.keys()
+        for name, column in first_state.items():
+            assert np.array_equal(column, second_state[name], equal_nan=True)

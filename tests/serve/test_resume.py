@@ -17,7 +17,7 @@ import pytest
 from repro.errors import ConfigError
 from repro.obs import MetricsRegistry, metrics as obs_metrics, use_metrics
 from repro.runtime.faults import FaultPlan, tear_file
-from repro.serve import serve_stream
+from repro.serve import ServeCheckpoint, serve_stream
 
 BATCH = 200
 
@@ -209,14 +209,47 @@ class TestCursorFallback:
             batch_size=BATCH,
             max_batches=3,
         )
-        state_dir = ckpt / f"state-{3:06d}"
-        assert state_dir.exists(), partial
-        tear_file(state_dir / "shard-0000.json", keep_fraction=0.3)
+        shard_file = ServeCheckpoint(ckpt).shard_path(3, 0)
+        assert shard_file.exists(), partial
+        tear_file(shard_file, keep_fraction=0.3)
         with caplog.at_level(logging.WARNING, logger="repro.serve.loop"):
             result = serve_stream(
                 stream_path, ckpt, config=serve_config, batch_size=BATCH
             )
         assert not result.resumed
+        assert result.fingerprint() == offline_reference.fingerprint()
+
+    @pytest.mark.parametrize("damage", ["truncated", "zero_length", "bit_flip"])
+    @pytest.mark.parametrize("target", ["shard", "scores"])
+    def test_damaged_binary_state_restarts_from_head(
+        self, stream_path, serve_config, offline_reference, tmp_path,
+        target, damage,
+    ):
+        ckpt = tmp_path / f"{target}-{damage}"
+        serve_stream(
+            stream_path, ckpt, config=serve_config, batch_size=BATCH,
+            max_batches=2, n_shards=2,
+        )
+        checkpoint = ServeCheckpoint(ckpt)
+        path = (
+            checkpoint.shard_path(2, 1)
+            if target == "shard"
+            else checkpoint.scores_path(2)
+        )
+        if damage == "bit_flip":
+            data = bytearray(path.read_bytes())
+            data[data.index(b"repro.") + 2] ^= 0x10
+            path.write_bytes(bytes(data))
+        else:
+            tear_file(path, keep_fraction=0.5 if damage == "truncated" else 0.0)
+        registry = MetricsRegistry()
+        with use_metrics(registry):
+            result = serve_stream(
+                stream_path, ckpt, config=serve_config, batch_size=BATCH,
+                n_shards=2,
+            )
+        assert not result.resumed
+        assert registry.counter_value(obs_metrics.SERVE_CURSOR_INVALID) == 1
         assert result.fingerprint() == offline_reference.fingerprint()
 
     def test_changed_config_restarts_from_head(
