@@ -72,7 +72,7 @@ soak-smoke:
 		soak soak-smoke/stream.jsonl --workdir soak-smoke/run \
 		--chaos smoke --duration 60 --batch-size 2000 \
 		--n-shards 2 --parallel --slow-seconds 1.0 \
-		--slo-p99-ms 30000 --min-throughput 50 \
+		--slo-p99-ms 3217 --min-throughput 4244 \
 		--flight-dir soak-smoke/flight \
 		--metrics-stream-out soak-smoke/live.jsonl \
 		--pin-telemetry-overhead \
