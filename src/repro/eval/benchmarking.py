@@ -151,7 +151,8 @@ def slab_grid_telemetry(
     materialising every column into RAM (the materialisation is inside
     the measured region; that *is* the cost the slab plane avoids).
 
-    Peaks are ``tracemalloc`` traced-allocation peaks, reset per arm:
+    The build is timed untraced; ``tracemalloc`` runs only around the
+    two fit arms.  Peaks are traced-allocation peaks, reset per arm:
     they capture numpy buffer allocations but not mmap pages, which is
     exactly the bounded-*heap* contract the slab plane makes.  The
     process-wide ``ru_maxrss`` high-water mark is recorded once per cell
@@ -170,7 +171,7 @@ def slab_grid_telemetry(
     from repro.core.batch import stability_matrix
     from repro.data.calendar import StudyCalendar
     from repro.data.population import PopulationFrame
-    from repro.data.slabs import _COLUMN_DTYPES, build_slab_store
+    from repro.data.slabs import build_slab_store
     from repro.synth.stream import synthetic_slab_stream
 
     calendar = StudyCalendar.paper()
@@ -179,8 +180,6 @@ def slab_grid_telemetry(
     )
     base = Path(tempfile.mkdtemp(prefix="slab-grid-")) if root is None else Path(root)
     was_tracing = tracemalloc.is_tracing()
-    if not was_tracing:
-        tracemalloc.start()
     results = []
     try:
         for size in sizes:
@@ -194,6 +193,8 @@ def slab_grid_telemetry(
             )
             build_seconds = time.perf_counter() - start
 
+            if not was_tracing:
+                tracemalloc.start()
             tracemalloc.reset_peak()
             start = time.perf_counter()
             mmap_fit = stability_matrix(store.frame(), alpha=alpha)
@@ -206,12 +207,14 @@ def slab_grid_telemetry(
                 grid=store.grid(),
                 **{
                     name: np.array(store.column(name))
-                    for name in _COLUMN_DTYPES
+                    for name in store.manifest["columns"]
                 },
             )
             ram_fit = stability_matrix(ram_frame, alpha=alpha)
             ram_seconds = time.perf_counter() - start
             __, ram_peak = tracemalloc.get_traced_memory()
+            if not was_tracing:
+                tracemalloc.stop()
 
             bit_identical = all(
                 np.asarray(a).tobytes() == np.asarray(b).tobytes()

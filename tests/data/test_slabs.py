@@ -1,29 +1,43 @@
 """Tests for repro.data.slabs — the out-of-core slab data plane.
 
-Two contracts are pinned here:
+Three contracts are pinned here:
 
 * **bit-identity** — a slab store built from a basket stream holds
   byte-for-byte the columns :meth:`PopulationFrame.from_log` builds in
-  RAM, and every registered engine produces bit-identical scores on
+  RAM (also over generated logs, bucket counts, shard sizes and chunk
+  splits), and every registered engine produces bit-identical scores on
   the mmap-backed frame (including sharded slab-reference workers and
   checkpoint-resumed evaluation sweeps);
 * **durability** — a torn, stale or version-incompatible store raises a
-  typed :class:`~repro.errors.SlabStoreError` instead of being mapped.
+  typed :class:`~repro.errors.SlabStoreError` instead of being mapped;
+* **bounded descriptors** — the build's open spill files do not grow
+  with the shard count.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
+import sys
+import tempfile
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import repro
 from repro.config import ExperimentConfig
 from repro.core.batch import stability_matrix
 from repro.core.engines import available_engines
 from repro.core.model import StabilityModel
-from repro.data.population import PopulationFrame
+from repro.core.windowing import WindowGrid
+from repro.data.basket import Basket
+from repro.data.population import PopulationFrame, csr_from_triples
 from repro.data.slabs import (
     SLAB_STORE_VERSION,
     build_slab_store,
@@ -31,6 +45,7 @@ from repro.data.slabs import (
     ensure_slab_store,
     open_slab_store,
 )
+from repro.data.transactions import TransactionLog
 from repro.errors import SlabStoreError
 from repro.eval.protocol import EvaluationProtocol
 from repro.obs import MetricsRegistry, use_metrics
@@ -134,6 +149,47 @@ class TestBuildAndOpen:
             assert np.array_equal(coarse.column(name), fine.column(name)), name
 
 
+class TestDescriptorBound:
+    @pytest.mark.skipif(os.name != "posix", reason="needs RLIMIT_NOFILE")
+    def test_build_fits_under_a_low_descriptor_limit(self, tmp_path):
+        # 2,000 customers at 10 per shard make 200 shards: one open handle
+        # per shard spill file (two kinds) would need ~400 descriptors.
+        script = textwrap.dedent(
+            """
+            import resource, sys
+            from pathlib import Path
+
+            __, hard = resource.getrlimit(resource.RLIMIT_NOFILE)
+            resource.setrlimit(resource.RLIMIT_NOFILE, (min(256, hard), hard))
+
+            from repro.config import ExperimentConfig
+            from repro.data.calendar import StudyCalendar
+            from repro.data.slabs import build_slab_store
+            from repro.synth.stream import synthetic_slab_stream
+
+            calendar = StudyCalendar.paper()
+            store = build_slab_store(
+                synthetic_slab_stream(2000, calendar.n_days, seed=1),
+                ExperimentConfig().grid(calendar),
+                Path(sys.argv[1]),
+                fingerprint="descriptor-bound",
+                customers_per_shard=10,
+            )
+            print(store.n_customers)
+            """
+        )
+        src = str(Path(repro.__file__).resolve().parents[1])
+        result = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path / "store")],
+            capture_output=True,
+            text=True,
+            timeout=240,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert result.returncode == 0, result.stderr[-2000:]
+        assert result.stdout.split() == ["2000"]
+
+
 class TestEnsure:
     def test_miss_builds_then_hit_reuses(self, tiny_dataset, tmp_path):
         fingerprint = tiny_dataset.bundle.fingerprint()
@@ -206,6 +262,137 @@ class TestTypedErrors:
         (store.directory / "triple_window.bin").unlink()
         with pytest.raises(SlabStoreError, match="missing"):
             open_slab_store(store.directory)
+
+
+#: Item ids for both csr_from_triples paths: small non-negative ids pack
+#: into one int64 key, negative ids and ids near 2**61 take the lexsort.
+_ITEM_IDS = st.one_of(
+    st.integers(0, 12),
+    st.integers(-3, -1),
+    st.integers(2**40, 2**40 + 3),
+    st.integers(2**61, 2**61 + 3),
+)
+
+
+@st.composite
+def _triples(draw):
+    n_customers = draw(st.integers(1, 6))
+    n_windows = draw(st.integers(1, 5))
+    catalog = draw(st.lists(_ITEM_IDS, min_size=1, max_size=6))
+    rows = draw(
+        st.lists(
+            st.tuples(
+                st.integers(0, n_customers - 1),
+                st.sampled_from(catalog),
+                st.integers(0, n_windows - 1),
+            ),
+            max_size=40,
+        )
+    )
+    return rows, n_customers, n_windows
+
+
+def _grid_with_off_grid_days() -> WindowGrid:
+    # Days 0-9 fall before the first window and days >= 50 after the last.
+    return WindowGrid(boundaries=(10, 20, 35, 50))
+
+
+#: (customer, day, items) receipts in stream order.  Days 15 and 30 recur
+#: (same-day receipts); day 2**62 overflows the packed (row, day) key.
+_RECEIPTS = st.lists(
+    st.tuples(
+        st.integers(-4, 6),
+        st.one_of(st.integers(0, 60), st.sampled_from([15, 30, 2**62])),
+        st.frozensets(_ITEM_IDS, max_size=4),
+    ),
+    min_size=1,
+    max_size=40,
+)
+
+
+class TestSortBasedBuildProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(_triples())
+    def test_csr_from_triples_matches_sorted_set(self, drawn):
+        rows, n_customers, n_windows = drawn
+        cust, items, window = (
+            np.array([row[k] for row in rows], dtype=np.int64) for k in range(3)
+        )
+        pair_offsets, pair_items, triple_offsets, triple_window = csr_from_triples(
+            cust, items, window, n_customers, n_windows
+        )
+
+        triples = sorted(set(rows))
+        pairs = sorted({(c, i) for c, i, __ in triples})
+        assert pair_items.tolist() == [i for __, i in pairs]
+        assert triple_window.tolist() == [w for __, __, w in triples]
+        assert pair_offsets.tolist() == [
+            sum(1 for c, __ in pairs if c < row) for row in range(n_customers + 1)
+        ]
+        assert triple_offsets.tolist() == [
+            *(sum(1 for t in triples if t[:2] < pair) for pair in pairs),
+            len(triples),
+        ]
+        for column in (pair_offsets, pair_items, triple_offsets, triple_window):
+            assert column.dtype == np.int64
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        receipts=_RECEIPTS,
+        n_buckets=st.integers(1, 8),
+        customers_per_shard=st.integers(1, 6),
+        chunk_baskets=st.integers(1, 12),
+    )
+    @example(  # a customer whose only receipts are off-grid, same-day pairs
+        receipts=[
+            (-2, 3, frozenset({1})),
+            (-2, 55, frozenset({2})),
+            (5, 15, frozenset({1, 2})),
+            (5, 15, frozenset({3})),
+            (1, 30, frozenset()),
+            (5, 12, frozenset({2})),
+        ],
+        n_buckets=2,
+        customers_per_shard=1,
+        chunk_baskets=1,
+    )
+    @example(  # day 2**62 in a 2-customer shard: (row, day) overflows one key
+        receipts=[
+            (3, 2**62, frozenset({1})),
+            (1, 40, frozenset({2})),
+            (3, 12, frozenset({2})),
+            (1, 2**62, frozenset()),
+        ],
+        n_buckets=1,
+        customers_per_shard=2,
+        chunk_baskets=3,
+    )
+    def test_store_matches_from_log_byte_for_byte(
+        self, receipts, n_buckets, customers_per_shard, chunk_baskets
+    ):
+        # Monetary values number the receipts in stream order, so a
+        # reordering of same-day receipts shows in basket_monetary.
+        baskets = [
+            Basket(customer_id=c, day=d, items=items, monetary=float(n))
+            for n, (c, d, items) in enumerate(receipts)
+        ]
+        grid = _grid_with_off_grid_days()
+        reference = PopulationFrame.from_log(TransactionLog(baskets), grid)
+        with tempfile.TemporaryDirectory() as tmp:
+            store = build_slab_store(
+                chunks_from_baskets(baskets, chunk_baskets=chunk_baskets),
+                grid,
+                Path(tmp) / "store",
+                fingerprint="property",
+                customers_per_shard=customers_per_shard,
+                n_buckets=n_buckets,
+            )
+            frame = store.frame()
+            for name in store.manifest["columns"]:
+                ours, theirs = getattr(frame, name), getattr(reference, name)
+                assert ours.dtype == theirs.dtype, name
+                assert ours.tobytes() == theirs.tobytes(), name
+            del frame, store
 
 
 def _assert_trajectories_bit_identical(reference, other):
