@@ -32,8 +32,8 @@ whole-population throughput rather than per-customer clarity:
   time so the dense per-shard matrices are the only transient
   allocation, and the sharded path sends workers a slab *reference*
   (store path + customer row range) instead of a pickled frame — each
-  worker maps the store itself, keeping fork/spawn payloads and
-  per-worker RSS flat as the population grows.
+  worker maps the store itself and writes its rows into one result
+  file, keeping payloads and per-process RSS flat as the population grows.
 
 Only the exponential significance and the ``"paper"`` counting scheme
 are supported; anything else stays on the flexible incremental engine.
@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import math
 import os
+import tempfile
 from collections.abc import Iterable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -232,21 +233,27 @@ def _out_of_core_kernel(
     )
 
 
-def _slab_shard_worker(
-    args: tuple[str, int, int, float],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _slab_shard_worker(args: tuple[str, str, int, int, float]) -> None:
     """Worker entry for slab-reference tasks: map the store, fit a range.
 
-    The task is ``(store_path, lo, hi, alpha)`` — a few hundred bytes on
-    the wire regardless of population size.  The worker memory-maps the
-    store itself and chunks over its shard layout, so worker RSS is
-    bounded by one store shard, not the task's whole row range.
+    The task is ``(store_path, out_path, lo, hi, alpha)`` — a few hundred
+    bytes on the wire regardless of population size.  The worker
+    memory-maps the store itself and chunks over its shard layout, so
+    worker RSS is bounded by one store shard, not the task's whole row
+    range.  Its rows go straight into the fit's ``(3, customers,
+    windows)`` result file at ``out_path``, not back through the
+    executor's result pipe: the pipe's reader thread would unpickle every
+    block into its own malloc arena, where how much stays resident after
+    the fit depends on thread timing.
     """
-    store_path, lo, hi, alpha = args
+    store_path, out_path, lo, hi, alpha = args
     from repro.data.slabs import open_slab_store
 
+    out = np.load(out_path, mmap_mode="r+")
     frame = open_slab_store(store_path).frame()
-    return _out_of_core_kernel(frame, alpha, lo, hi)
+    for block, rows in zip(out, _out_of_core_kernel(frame, alpha, lo, hi), strict=True):
+        block[lo:hi] = rows
+    out.flush()
 
 
 def _resolve_n_jobs(n_jobs: int | None) -> int:
@@ -259,28 +266,17 @@ def _resolve_n_jobs(n_jobs: int | None) -> int:
     return int(n_jobs)
 
 
+def _row_ranges(n_customers: int, n_jobs: int) -> list[tuple[int, int]]:
+    """Contiguous non-empty ``[lo, hi)`` customer-row ranges, one per job."""
+    bounds = np.linspace(0, n_customers, n_jobs + 1).astype(int)
+    return [(int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:], strict=True) if hi > lo]
+
+
 def _shard_tasks(
     population: PopulationFrame, alpha: float, n_jobs: int
 ) -> list[tuple[PopulationFrame, float]]:
-    bounds = np.linspace(0, population.n_customers, n_jobs + 1).astype(int)
-    return [
-        (population.shard(int(lo), int(hi)), alpha)
-        for lo, hi in zip(bounds[:-1], bounds[1:], strict=True)
-        if hi > lo
-    ]
-
-
-def _slab_shard_tasks(
-    population: PopulationFrame, alpha: float, n_jobs: int
-) -> list[tuple[str, int, int, float]]:
-    """Slab-reference tasks: ``(store_path, lo, hi, alpha)`` per worker."""
-    assert population.store_path is not None
-    bounds = np.linspace(0, population.n_customers, n_jobs + 1).astype(int)
-    return [
-        (population.store_path, int(lo), int(hi), alpha)
-        for lo, hi in zip(bounds[:-1], bounds[1:], strict=True)
-        if hi > lo
-    ]
+    ranges = _row_ranges(population.n_customers, n_jobs)
+    return [(population.shard(lo, hi), alpha) for lo, hi in ranges]
 
 
 def stability_matrix(
@@ -320,16 +316,7 @@ def stability_matrix(
             else:
                 stability, kept, total = _stability_kernel(population, alpha)
             return BatchStability(population, stability, kept, total)
-        if slab_backed:
-            parts, report = run_sharded(
-                _slab_shard_worker,
-                _slab_shard_tasks(population, alpha, n_jobs),
-                max_workers=n_jobs,
-                retries=retries,
-                timeout=shard_timeout,
-                fault_plan=fault_plan,
-            )
-        else:
+        if not slab_backed:
             shards = _shard_tasks(population, alpha, n_jobs)
             parts, report = run_sharded(
                 _shard_worker,
@@ -339,7 +326,24 @@ def stability_matrix(
                 timeout=shard_timeout,
                 fault_plan=fault_plan,
             )
-        stability, kept, total = _stack_parts(parts)
+            stability, kept, total = _stack_parts(parts)
+            return BatchStability(population, stability, kept, total, execution=report)
+        with tempfile.TemporaryDirectory(prefix="repro-fit-") as scratch:
+            out_path = os.path.join(scratch, "fit.npy")
+            shape = (3, n_customers, population.n_windows)
+            np.lib.format.open_memmap(out_path, "w+", np.float64, shape)
+            _, report = run_sharded(
+                _slab_shard_worker,
+                [
+                    (population.store_path, out_path, lo, hi, alpha)
+                    for lo, hi in _row_ranges(n_customers, n_jobs)
+                ],
+                max_workers=n_jobs,
+                retries=retries,
+                timeout=shard_timeout,
+                fault_plan=fault_plan,
+            )
+            stability, kept, total = np.load(out_path)
     return BatchStability(population, stability, kept, total, execution=report)
 
 
@@ -356,10 +360,7 @@ def _stability_matrix_bare(
     shards = _shard_tasks(population, alpha, _resolve_n_jobs(n_jobs))
     with ProcessPoolExecutor(max_workers=len(shards)) as executor:
         parts = list(executor.map(_shard_worker, shards))
-    stability = np.vstack([p[0] for p in parts])
-    kept = np.vstack([p[1] for p in parts])
-    total = np.vstack([p[2] for p in parts])
-    return BatchStability(population, stability, kept, total)
+    return BatchStability(population, *_stack_parts(parts))
 
 
 def batch_churn_scores(
