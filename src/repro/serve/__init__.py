@@ -10,9 +10,8 @@ Layout
 ------
 :mod:`repro.serve.pool`
     :class:`ShardedMonitorPool` — customers partitioned
-    ``customer_id % n_shards`` across monitors; serial or
-    :func:`~repro.runtime.executor.run_sharded` parallel batch
-    processing, bit-identical either way.
+    ``customer_id % n_shards`` across in-process monitors, bit-identical
+    to a single monitor.
 :mod:`repro.serve.checkpoint`
     :class:`ServeCheckpoint` — write-once state directories sealed by an
     atomic ``cursor.json`` (the single commit point);
@@ -27,9 +26,8 @@ Layout
 
 The headline invariant: serving a recorded stream to completion is
 bit-identical to the offline batch sweep over the same log — regardless
-of shard count, parallelism, or how many times the run was killed and
-resumed (compare :meth:`ServeResult.fingerprint` with
-:meth:`OfflineSweep.fingerprint`).
+of shard count or how many times the run was killed and resumed (compare
+:meth:`ServeResult.fingerprint` with :meth:`OfflineSweep.fingerprint`).
 """
 
 from repro.serve.api import StatusBoard, StatusServer

@@ -1,16 +1,16 @@
-"""Customer-sharded monitor pool with bit-identical serial fallback.
+"""Customer-sharded monitor pool, bit-identical to a single monitor.
 
-A serving deployment cannot hold 6M customers' incremental state behind
-one GIL: :class:`ShardedMonitorPool` partitions customers across
-``n_shards`` independent :class:`~repro.core.streaming.StabilityMonitor`
-instances (``customer_id % n_shards``) and processes each checkpoint
-batch per shard — serially in-process, or fanned out to
-worker processes through :func:`~repro.runtime.executor.run_sharded`
-with its full retry/degrade protocol.
+:class:`ShardedMonitorPool` partitions customers across ``n_shards``
+independent :class:`~repro.core.streaming.StabilityMonitor` instances
+(``customer_id % n_shards``) and plays each checkpoint batch through
+every shard in-process.  The shard count fixes the checkpoint layout
+(one state file per shard); it is not a parallelism lever.  Closing a
+window costs milliseconds per shard, so shipping a shard's state to a
+worker process costs more than the work it would move.
 
 The pool preserves the serving layer's headline invariant — sharded
 scoring is **bit-identical** to a single monitor over the same stream —
-through three properties:
+through two properties:
 
 * every shard's clock advances through *every* day of the stream
   (:meth:`StabilityMonitor.advance_to_day`), so all shards close the
@@ -18,13 +18,7 @@ through three properties:
   customers shopped;
 * a customer's state is content-determined (each window's item set
   merges into its CSR segment sorted), so the basket interleaving *across*
-  customers never affects any one customer's scores;
-* the parallel path round-trips each shard's state through the one
-  snapshot codec (:mod:`repro.runtime.snapshot`: the monitor's columns
-  plus a small header), whose round-trip guarantee pins that a restored
-  monitor emits identical reports, so a retried or degraded worker
-  attempt recomputes from the exact same state (``fn`` stays
-  pure/idempotent as ``run_sharded`` requires).
+  customers never affects any one customer's scores.
 """
 
 from __future__ import annotations
@@ -37,27 +31,13 @@ from repro.core.streaming import StabilityMonitor, WindowCloseReport
 from repro.data.basket import Basket
 from repro.data.streams import DayBatch
 from repro.errors import ConfigError
-from repro.runtime.executor import ExecutionReport, run_sharded
-from repro.runtime.snapshot import Columns, restore_monitor, snapshot_monitor
+from repro.runtime.snapshot import Columns, snapshot_monitor
 
 if TYPE_CHECKING:
     from repro.core.significance import SignificanceFunction
     from repro.core.windowing import WindowGrid
-    from repro.runtime.faults import FaultPlan
 
 __all__ = ["ShardedMonitorPool", "shard_of", "merge_reports"]
-
-#: Wire shapes shipped to worker processes: plain nested tuples only, so
-#: pickling never depends on dataclass/slots details across versions.
-_WireBasket = tuple[int, tuple[int, ...], float]
-_WireDay = tuple[int, tuple[_WireBasket, ...]]
-_WireReport = tuple[
-    int,
-    tuple[tuple[int, float], ...],
-    tuple[tuple[int, int, float], ...],
-]
-_ShardTask = tuple[Columns, tuple[_WireDay, ...]]
-
 
 def shard_of(customer_id: int, n_shards: int) -> int:
     """The shard owning a customer (stable hash: ``id % n_shards``)."""
@@ -96,57 +76,6 @@ def merge_reports(
     return merged
 
 
-def _serialize_report(report: WindowCloseReport) -> _WireReport:
-    return (
-        report.window_index,
-        tuple(report.stabilities.items()),
-        tuple(
-            (a.customer_id, a.window_index, a.stability) for a in report.alarms
-        ),
-    )
-
-
-def _deserialize_report(wire: _WireReport) -> WindowCloseReport:
-    window_index, stabilities, alarms = wire
-    return WindowCloseReport(
-        window_index=window_index,
-        stabilities=dict(stabilities),
-        alarms=tuple(
-            Alarm(customer_id=cid, window_index=w, stability=s)
-            for cid, w, s in alarms
-        ),
-    )
-
-
-def _process_shard_batch(task: _ShardTask) -> tuple[Columns, tuple[_WireReport, ...]]:
-    """Worker: restore one shard, play one batch of days, snapshot back.
-
-    Pure in the :func:`run_sharded` sense — state in, state out, no side
-    effects — so a timed-out attempt recomputed elsewhere cannot corrupt
-    anything.
-    """
-    payload, days = task
-    monitor = restore_monitor(payload)
-    reports: list[WindowCloseReport] = []
-    for day, baskets in days:
-        for customer_id, items, monetary in baskets:
-            reports.extend(
-                monitor.ingest(
-                    Basket.of(
-                        customer_id=customer_id,
-                        day=day,
-                        items=list(items),
-                        monetary=monetary,
-                    )
-                )
-            )
-        reports.extend(monitor.advance_to_day(day))
-    return (
-        snapshot_monitor(monitor),
-        tuple(_serialize_report(r) for r in reports),
-    )
-
-
 class ShardedMonitorPool:
     """``n_shards`` customer-partitioned monitors behind one batch API.
 
@@ -156,34 +85,12 @@ class ShardedMonitorPool:
         One :class:`StabilityMonitor` per shard, identically configured
         and clock-aligned (shard ``i`` owns customers with
         ``customer_id % n_shards == i``).
-    parallel:
-        Process each batch's shards in worker processes via
-        :func:`run_sharded` (retry waves, serial degrade) instead of
-        in-process.  Results are bit-identical either way; parallelism
-        is purely a throughput lever.
-    retries, timeout, fault_plan:
-        Passed through to :func:`run_sharded` in parallel mode.
     """
 
-    def __init__(
-        self,
-        monitors: Sequence[StabilityMonitor],
-        *,
-        parallel: bool = False,
-        retries: int = 2,
-        timeout: float | None = None,
-        fault_plan: FaultPlan | None = None,
-    ) -> None:
+    def __init__(self, monitors: Sequence[StabilityMonitor]) -> None:
         if not monitors:
             raise ConfigError("a monitor pool needs at least one shard")
         self.monitors = list(monitors)
-        self.parallel = bool(parallel)
-        self.retries = int(retries)
-        self.timeout = timeout
-        self.fault_plan = fault_plan
-        #: Executor report of the most recent parallel batch (None until
-        #: one ran); surfaces retry/degrade history for the manifest.
-        self.last_report: ExecutionReport | None = None
 
     @property
     def n_shards(self) -> int:
@@ -199,10 +106,6 @@ class ShardedMonitorPool:
         significance: SignificanceFunction | None = None,
         counting: str = "paper",
         first_alarm_window: int = 0,
-        parallel: bool = False,
-        retries: int = 2,
-        timeout: float | None = None,
-        fault_plan: FaultPlan | None = None,
     ) -> ShardedMonitorPool:
         """Build a fresh pool of identically configured shard monitors."""
         if n_shards < 1:
@@ -217,23 +120,7 @@ class ShardedMonitorPool:
             )
             for _ in range(n_shards)
         ]
-        return cls(
-            monitors,
-            parallel=parallel,
-            retries=retries,
-            timeout=timeout,
-            fault_plan=fault_plan,
-        )
-
-    def set_fault_plan(self, fault_plan: FaultPlan | None) -> None:
-        """Swap the injected fault plan for subsequent batches.
-
-        The plan is read at each :meth:`process_batch` call, so the
-        chaos harness can schedule a fault for exactly one batch by
-        installing a plan before it and restoring the base plan after
-        (the serving loop's ``on_batch_start`` hook does exactly this).
-        """
-        self.fault_plan = fault_plan
+        return cls(monitors)
 
     def snapshot_shards(self) -> list[Columns]:
         """One monitor snapshot per shard, in shard order."""
@@ -260,15 +147,6 @@ class ShardedMonitorPool:
             If the batches regress the stream clock or leave the grid
             (from the underlying monitors).
         """
-        if not batches:
-            return []
-        if self.parallel and self.n_shards > 1:
-            return self._process_parallel(batches)
-        return self._process_serial(batches)
-
-    def _process_serial(
-        self, batches: Sequence[DayBatch]
-    ) -> list[WindowCloseReport]:
         per_shard: list[list[WindowCloseReport]] = [
             [] for _ in self.monitors
         ]
@@ -284,47 +162,6 @@ class ShardedMonitorPool:
                 per_shard[shard].extend(monitor.advance_to_day(batch.day))
         return merge_reports(per_shard)
 
-    def _process_parallel(
-        self, batches: Sequence[DayBatch]
-    ) -> list[WindowCloseReport]:
-        tasks: list[_ShardTask] = []
-        for shard, monitor in enumerate(self.monitors):
-            days: tuple[_WireDay, ...] = tuple(
-                (
-                    batch.day,
-                    tuple(
-                        (
-                            basket.customer_id,
-                            tuple(sorted(basket.items)),
-                            basket.monetary,
-                        )
-                        for basket in batch.baskets
-                        if shard_of(basket.customer_id, self.n_shards)
-                        == shard
-                    ),
-                )
-                for batch in batches
-            )
-            tasks.append((snapshot_monitor(monitor), days))
-        results, report = run_sharded(
-            _process_shard_batch,
-            tasks,
-            max_workers=self.n_shards,
-            retries=self.retries,
-            timeout=self.timeout,
-            fault_plan=self.fault_plan,
-        )
-        self.last_report = report
-        per_shard: list[list[WindowCloseReport]] = []
-        for shard, (payload, serialized) in enumerate(results):
-            self.monitors[shard] = restore_monitor(payload)
-            per_shard.append([_deserialize_report(r) for r in serialized])
-        return merge_reports(per_shard)
-
     def finish(self) -> list[WindowCloseReport]:
-        """Close every remaining window on every shard; merged reports.
-
-        Always runs in the parent process — end-of-stream work is one
-        pass over already-resident state, not worth a pool round trip.
-        """
+        """Close every remaining window on every shard; merged reports."""
         return merge_reports([monitor.finish() for monitor in self.monitors])

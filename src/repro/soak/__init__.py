@@ -6,8 +6,8 @@ duration, optional basket-rate cap, latency/throughput SLO budgets)
 while a deterministic :class:`ChaosSchedule` — ``(batch, site)`` cells,
 the serving-layer generalisation of
 :class:`~repro.runtime.faults.FaultPlan`'s ``(shard, attempt)`` cells —
-injects worker crashes, slow shards, kill/resume legs, torn checkpoint
-files and transient checkpoint-I/O errors mid-soak.
+injects kill/resume legs, torn checkpoint files and transient
+checkpoint-I/O errors mid-soak.
 
 After every fault the harness verifies the runbook invariants (resume
 succeeds, rework stays within the per-site bound, cumulative counters
@@ -45,10 +45,8 @@ from repro.soak.plan import (
     CHAOS_SITES,
     SITE_CKPT_IO,
     SITE_KILL_RESUME,
-    SITE_SLOW_SHARD,
     SITE_TEAR_CURSOR,
     SITE_TEAR_STATE,
-    SITE_WORKER_CRASH,
     ChaosCell,
     ChaosSchedule,
     SoakPlan,
@@ -69,10 +67,8 @@ __all__ = [
     "CHAOS_SITES",
     "SITE_CKPT_IO",
     "SITE_KILL_RESUME",
-    "SITE_SLOW_SHARD",
     "SITE_TEAR_CURSOR",
     "SITE_TEAR_STATE",
-    "SITE_WORKER_CRASH",
     "ChaosCell",
     "ChaosSchedule",
     "SoakPlan",

@@ -4,7 +4,7 @@ Two plans, both immutable and validated at construction:
 
 * :class:`SoakPlan` — *how much* load: loops vs wall-clock duration
   (the ``StabilityPlan`` idiom from SNIPPETS.md Snippet 3), an optional
-  basket-rate cap, the serving shape (batch size, shards, parallelism)
+  basket-rate cap, the serving shape (batch size, shards)
   and the latency/throughput SLOs the run is held to.
 * :class:`ChaosSchedule` — *what goes wrong, and when*: the
   ``(shard, attempt)`` cells of :class:`~repro.runtime.faults.FaultPlan`
@@ -15,10 +15,6 @@ Two plans, both immutable and validated at construction:
   ========================  ==================================================
   site                      what is injected
   ========================  ==================================================
-  ``worker_crash``          a shard worker process dies (``os._exit``) on the
-                            batch's first pool attempt
-  ``slow_shard``            a shard worker sleeps before computing, tripping
-                            the pool's per-wave timeout/retry path
   ``kill_resume``           the serving process dies *between* the batch's
                             state write and its cursor commit — the
                             worst-case crash point
@@ -44,8 +40,6 @@ from dataclasses import dataclass, field, fields
 from repro.errors import ConfigError
 
 __all__ = [
-    "SITE_WORKER_CRASH",
-    "SITE_SLOW_SHARD",
     "SITE_KILL_RESUME",
     "SITE_TEAR_CURSOR",
     "SITE_TEAR_STATE",
@@ -56,8 +50,6 @@ __all__ = [
     "SoakPlan",
 ]
 
-SITE_WORKER_CRASH = "worker_crash"
-SITE_SLOW_SHARD = "slow_shard"
 SITE_KILL_RESUME = "kill_resume"
 SITE_TEAR_CURSOR = "tear_cursor"
 SITE_TEAR_STATE = "tear_state"
@@ -67,8 +59,6 @@ SITE_CKPT_IO = "ckpt_io"
 #: smoke schedule exercises them.
 CHAOS_SITES = (
     SITE_TEAR_CURSOR,
-    SITE_WORKER_CRASH,
-    SITE_SLOW_SHARD,
     SITE_KILL_RESUME,
     SITE_CKPT_IO,
     SITE_TEAR_STATE,
@@ -83,8 +73,6 @@ class ChaosCell:
     batch: int
     #: One of :data:`CHAOS_SITES`.
     site: str
-    #: ``slow_shard`` only: injected in-worker sleep, seconds.
-    seconds: float = 0.0
     #: ``ckpt_io`` only: the simulated ``OSError`` errno.
     errno_code: int = 0
 
@@ -98,13 +86,6 @@ class ChaosSchedule:
 
     Attributes
     ----------
-    crashes:
-        Batches whose first pool attempt kills the worker of shard
-        ``crash_shard`` (requires a parallel pool — the serial path has
-        no worker process to kill).
-    slow:
-        ``(batch, seconds)`` pairs: shard ``slow_shard``'s worker sleeps
-        that long on the batch's first attempt (parallel pools only).
     kills:
         Batches killed between state write and cursor commit; the
         harness verifies the resume reworks exactly one batch.
@@ -118,26 +99,14 @@ class ChaosSchedule:
         ``(batch, errno)`` pairs: the batch's checkpoint state write
         raises that transient ``OSError`` once, exercising the bounded
         retry-with-backoff in :class:`~repro.serve.checkpoint.ServeCheckpoint`.
-    crash_shard, slow_shard:
-        Which shard the worker-level faults target.
     """
 
-    crashes: tuple[int, ...] = ()
-    slow: tuple[tuple[int, float], ...] = ()
     kills: tuple[int, ...] = ()
     torn_cursors: tuple[int, ...] = ()
     torn_state: tuple[int, ...] = ()
     io_errors: tuple[tuple[int, int], ...] = ()
-    crash_shard: int = 0
-    slow_shard: int = 0
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "crashes", tuple(int(b) for b in self.crashes)
-        )
-        object.__setattr__(
-            self, "slow", tuple((int(b), float(s)) for b, s in self.slow)
-        )
         object.__setattr__(self, "kills", tuple(int(b) for b in self.kills))
         object.__setattr__(
             self, "torn_cursors", tuple(int(b) for b in self.torn_cursors)
@@ -150,10 +119,6 @@ class ChaosSchedule:
             "io_errors",
             tuple((int(b), int(e)) for b, e in self.io_errors),
         )
-        if self.crash_shard < 0 or self.slow_shard < 0:
-            raise ConfigError("fault target shards must be >= 0")
-        if any(seconds <= 0 for _, seconds in self.slow):
-            raise ConfigError("slow-shard delays must be > 0 seconds")
         if any(code <= 0 for _, code in self.io_errors):
             raise ConfigError("io_errors cells need a positive errno")
         self._validate_cells()
@@ -181,14 +146,7 @@ class ChaosSchedule:
             seen[cell.batch] = cell.site
 
     def _raw_cells(self) -> list[ChaosCell]:
-        cells = [
-            ChaosCell(batch=b, site=SITE_WORKER_CRASH) for b in self.crashes
-        ]
-        cells += [
-            ChaosCell(batch=b, site=SITE_SLOW_SHARD, seconds=s)
-            for b, s in self.slow
-        ]
-        cells += [ChaosCell(batch=b, site=SITE_KILL_RESUME) for b in self.kills]
+        cells = [ChaosCell(batch=b, site=SITE_KILL_RESUME) for b in self.kills]
         cells += [
             ChaosCell(batch=b, site=SITE_TEAR_CURSOR)
             for b in self.torn_cursors
@@ -216,11 +174,6 @@ class ChaosSchedule:
         cells = self._raw_cells()
         return max((c.batch for c in cells), default=0)
 
-    @property
-    def requires_parallel(self) -> bool:
-        """Worker-level faults need a parallel pool to have a worker."""
-        return bool(self.crashes or self.slow)
-
     def sites(self) -> tuple[str, ...]:
         """Distinct sites this schedule exercises, in CHAOS_SITES order."""
         present = {cell.site for cell in self._raw_cells()}
@@ -231,10 +184,7 @@ class ChaosSchedule:
         cls,
         n_batches: int,
         *,
-        slow_seconds: float = 1.0,
         io_errno: int = _errno.ENOSPC,
-        crash_shard: int = 0,
-        slow_shard: int = 0,
     ) -> ChaosSchedule:
         """The default all-sites schedule for smoke/CI soaks.
 
@@ -249,17 +199,10 @@ class ChaosSchedule:
             raise ConfigError(
                 f"a smoke schedule needs >= 1 batch, got {n_batches}"
             )
-        plan: dict[str, object] = {
-            "crash_shard": crash_shard,
-            "slow_shard": slow_shard,
-        }
+        plan: dict[str, object] = {}
         for batch, site in enumerate(CHAOS_SITES[:n_batches], start=1):
             if site == SITE_TEAR_CURSOR:
                 plan["torn_cursors"] = (batch,)
-            elif site == SITE_WORKER_CRASH:
-                plan["crashes"] = (batch,)
-            elif site == SITE_SLOW_SHARD:
-                plan["slow"] = ((batch, slow_seconds),)
             elif site == SITE_KILL_RESUME:
                 plan["kills"] = (batch,)
             elif site == SITE_CKPT_IO:
@@ -296,9 +239,6 @@ class SoakPlan:
     rate: float | None = None
     batch_size: int = 256
     n_shards: int = 1
-    parallel: bool = False
-    retries: int = 2
-    shard_timeout_s: float | None = None
     slo_p50_ms: float | None = None
     slo_p95_ms: float | None = None
     slo_p99_ms: float | None = None
@@ -324,12 +264,6 @@ class SoakPlan:
             )
         if self.n_shards < 1:
             raise ConfigError(f"n_shards must be >= 1, got {self.n_shards}")
-        if self.retries < 0:
-            raise ConfigError(f"retries must be >= 0, got {self.retries}")
-        if self.shard_timeout_s is not None and self.shard_timeout_s <= 0:
-            raise ConfigError(
-                f"shard_timeout_s must be > 0, got {self.shard_timeout_s}"
-            )
         if self.checkpoint_io_retries < 0:
             raise ConfigError(
                 f"checkpoint_io_retries must be >= 0, got "
@@ -389,11 +323,9 @@ class SoakPlan:
                 coerced[key] = None
             elif key == "mode":
                 coerced[key] = str(value).strip().lower()
-            elif key in ("loops", "batch_size", "n_shards", "retries",
+            elif key in ("loops", "batch_size", "n_shards",
                          "checkpoint_io_retries"):
                 coerced[key] = int(value)
-            elif key == "parallel":
-                coerced[key] = bool(value)
             else:
                 coerced[key] = float(value)
         return cls(**coerced)  # type: ignore[arg-type]

@@ -29,7 +29,7 @@ def _assert_tables_identical(result, reference):
 
 class TestParity:
     @pytest.mark.parametrize(
-        ("n_shards", "parallel"), [(1, False), (3, False), (3, True)]
+        ("n_shards", "interrupted"), [(1, False), (3, False), (3, True)]
     )
     def test_serve_matches_offline(
         self,
@@ -38,17 +38,24 @@ class TestParity:
         offline_reference,
         tmp_path,
         n_shards,
-        parallel,
+        interrupted,
     ):
-        result = serve_stream(
-            stream_path,
-            tmp_path / "ckpt",
-            config=serve_config,
-            batch_size=BATCH,
-            n_shards=n_shards,
-            parallel=parallel,
-        )
+        def serve(max_batches=None):
+            return serve_stream(
+                stream_path,
+                tmp_path / "ckpt",
+                config=serve_config,
+                batch_size=BATCH,
+                n_shards=n_shards,
+                max_batches=max_batches,
+            )
+
+        if interrupted:
+            # Stop after two batches; the rerun resumes the sharded state.
+            assert not serve(max_batches=2).finished
+        result = serve()
         assert result.finished
+        assert result.resumed == interrupted
         _assert_tables_identical(result, offline_reference)
         assert result.fingerprint() == offline_reference.fingerprint()
 

@@ -4,15 +4,12 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
 import pytest
 
 from repro.core.streaming import StabilityMonitor
 from repro.data.streams import iter_day_batches
 from repro.errors import ConfigError
 from repro.serve import ShardedMonitorPool, merge_reports, shard_of
-from repro.serve.pool import _process_shard_batch  # noqa: PLC2701
-from repro.runtime.snapshot import snapshot_monitor
 
 
 def _reference_reports(serve_dataset, day_ordered_baskets, serve_config):
@@ -61,25 +58,6 @@ class TestSharding:
                 serve_dataset, day_ordered_baskets, serve_config
             ),
         )
-
-    def test_parallel_equals_serial(
-        self, serve_dataset, day_ordered_baskets, serve_config
-    ):
-        batches = list(iter_day_batches(day_ordered_baskets))
-
-        def run(parallel):
-            pool = ShardedMonitorPool.create(
-                serve_config.grid(serve_dataset.calendar),
-                n_shards=3,
-                significance=serve_config.significance(),
-                counting=serve_config.counting,
-                parallel=parallel,
-            )
-            reports = pool.process_batch(batches)
-            reports.extend(pool.finish())
-            return reports
-
-        _assert_reports_identical(run(False), run(True))
 
     def test_batched_equals_one_shot(
         self, serve_dataset, day_ordered_baskets, serve_config
@@ -169,28 +147,3 @@ class TestValidation:
     def test_merge_reports_sorts_by_customer(self):
         assert merge_reports([]) == []
 
-
-class TestWorkerPurity:
-    def test_worker_is_idempotent(
-        self, serve_dataset, day_ordered_baskets, serve_config
-    ):
-        monitor = StabilityMonitor.from_config(
-            serve_dataset.calendar, serve_config
-        )
-        days = tuple(
-            (
-                batch.day,
-                tuple(
-                    (b.customer_id, tuple(sorted(b.items)), b.monetary)
-                    for b in batch.baskets
-                ),
-            )
-            for batch in iter_day_batches(day_ordered_baskets[:200])
-        )
-        task = (snapshot_monitor(monitor), days)
-        first_state, first_reports = _process_shard_batch(task)
-        second_state, second_reports = _process_shard_batch(task)
-        assert first_reports == second_reports
-        assert first_state.keys() == second_state.keys()
-        for name, column in first_state.items():
-            assert np.array_equal(column, second_state[name], equal_nan=True)

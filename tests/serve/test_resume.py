@@ -16,7 +16,7 @@ import pytest
 
 from repro.errors import ConfigError
 from repro.obs import MetricsRegistry, metrics as obs_metrics, use_metrics
-from repro.runtime.faults import FaultPlan, tear_file
+from repro.runtime.faults import tear_file
 from repro.serve import ServeCheckpoint, serve_stream
 
 BATCH = 200
@@ -273,55 +273,6 @@ class TestCursorFallback:
             )
         assert not result.resumed
         assert result.finished
-
-
-class TestFaultyWorkers:
-    def test_crashed_shard_worker_is_retried(
-        self, stream_path, serve_config, offline_reference, tmp_path
-    ):
-        result = serve_stream(
-            stream_path,
-            tmp_path / "faulty",
-            config=serve_config,
-            batch_size=BATCH,
-            n_shards=2,
-            parallel=True,
-            fault_plan=FaultPlan(crashes=((0, 0),)),
-        )
-        assert result.finished
-        assert result.fingerprint() == offline_reference.fingerprint()
-
-    def test_erroring_worker_then_crash_then_resume(
-        self, stream_path, serve_config, offline_reference, full_run, tmp_path
-    ):
-        ckpt = tmp_path / "faulty-crash"
-        hook, seen = _crash_on(3)
-        with pytest.raises(_Boom):
-            serve_stream(
-                stream_path,
-                ckpt,
-                config=serve_config,
-                batch_size=BATCH,
-                n_shards=2,
-                parallel=True,
-                fault_plan=FaultPlan(errors=((1, 0),)),
-                on_state_written=hook,
-            )
-        resumed = serve_stream(
-            stream_path,
-            ckpt,
-            config=serve_config,
-            batch_size=BATCH,
-            n_shards=2,
-            parallel=True,
-        )
-        assert resumed.resumed
-        assert resumed.batches_reworked == 1
-        assert (
-            seen["n"] + resumed.batches_this_run
-            == full_run.batches_this_run + 1
-        )
-        assert resumed.fingerprint() == offline_reference.fingerprint()
 
 
 class TestValidation:

@@ -1,9 +1,7 @@
 """Tests for the chaos/soak harness (repro.soak.harness).
 
-The expensive full-site chaos loop (parallel pool, worker crash, slow
-shard) runs once; the cheaper invariants — fault-free soaks, serial
-chaos over the process-level sites, schedule validation, bench artifact
-— use serial plans so the suite stays fast.
+Every plan is served by the in-process shard pool: fault-free soaks,
+chaos over every site, schedule validation and the bench artifact.
 """
 
 from __future__ import annotations
@@ -141,17 +139,6 @@ class TestScheduleFit:
                 config=soak_config,
             )
 
-    def test_worker_faults_need_parallel_pool(
-        self, soak_stream, tmp_path, soak_config
-    ):
-        plan = SoakPlan(batch_size=BATCH)  # serial
-        chaos = ChaosSchedule(crashes=(2,))
-        with pytest.raises(ConfigError, match="parallel"):
-            run_soak(
-                soak_stream, tmp_path / "soak", plan, chaos,
-                config=soak_config,
-            )
-
     def test_io_faults_need_retry_budget(
         self, soak_stream, tmp_path, soak_config
     ):
@@ -165,7 +152,7 @@ class TestScheduleFit:
 
 
 class TestSerialChaos:
-    """The process-level sites (kill, tears, ckpt I/O) need no pool."""
+    """Every chaos site against the in-process shard pool."""
 
     def test_kill_tear_and_io_faults_recover_with_parity(
         self, soak_stream, tmp_path, soak_config
@@ -188,6 +175,24 @@ class TestSerialChaos:
         assert outcomes["ckpt_io"].rework_batches == 0
         # The torn state dir at batch 5 replays its committed prefix.
         assert outcomes["tear_state"].rework_batches == 5
+        assert report.loops[0].parity_ok
+
+    def test_all_sites_inject_and_parity_holds(
+        self, soak_stream, tmp_path, soak_config, shape
+    ):
+        n_batches, _ = shape
+        chaos = ChaosSchedule.smoke(n_batches)
+        plan = SoakPlan(batch_size=BATCH, n_shards=2, slo_p99_ms=120_000.0)
+        report = run_soak(
+            soak_stream, tmp_path / "soak", plan, chaos, config=soak_config
+        )
+        assert report.passed, report.violations
+        assert report.faults_injected == chaos.n_faults == 4
+        sites = {f.site for f in report.loops[0].faults}
+        assert sites == set(chaos.sites())
+        for fault in report.loops[0].faults:
+            if fault.site in ("kill_resume", "ckpt_io"):
+                assert fault.rework_batches <= 1, fault
         assert report.loops[0].parity_ok
 
     def test_bench_artifact_round_trips(
@@ -248,28 +253,3 @@ class TestSerialChaos:
         assert not (tmp_path / "soak2" / "loop-000").exists()
         assert report2.passed
 
-
-class TestParallelChaos:
-    def test_all_sites_inject_and_parity_holds(
-        self, soak_stream, tmp_path, soak_config, shape
-    ):
-        n_batches, _ = shape
-        chaos = ChaosSchedule.smoke(n_batches, slow_seconds=0.3)
-        plan = SoakPlan(
-            batch_size=BATCH, n_shards=2, parallel=True,
-            slo_p99_ms=120_000.0,
-        )
-        report = run_soak(
-            soak_stream, tmp_path / "soak", plan, chaos, config=soak_config
-        )
-        assert report.passed, report.violations
-        assert report.faults_injected == chaos.n_faults == 6
-        sites = {f.site for f in report.loops[0].faults}
-        assert sites == set(chaos.sites())
-        crash_class = (
-            "worker_crash", "slow_shard", "kill_resume", "ckpt_io"
-        )
-        for fault in report.loops[0].faults:
-            if fault.site in crash_class:
-                assert fault.rework_batches <= 1, fault
-        assert report.loops[0].parity_ok

@@ -11,10 +11,8 @@ from repro.soak.plan import (
     CHAOS_SITES,
     SITE_CKPT_IO,
     SITE_KILL_RESUME,
-    SITE_SLOW_SHARD,
     SITE_TEAR_CURSOR,
     SITE_TEAR_STATE,
-    SITE_WORKER_CRASH,
     ChaosSchedule,
     SoakPlan,
 )
@@ -64,12 +62,12 @@ class TestSoakPlanValidation:
 class TestSoakPlanFromMapping:
     def test_coerces_types(self):
         plan = SoakPlan.from_mapping(
-            {"mode": " LOOPS ", "loops": "3", "rate": "250", "parallel": 1}
+            {"mode": " LOOPS ", "loops": "3", "rate": "250", "n_shards": "2"}
         )
         assert plan.mode == "loops"
         assert plan.loops == 3
         assert plan.rate == 250.0
-        assert plan.parallel is True
+        assert plan.n_shards == 2
 
     def test_unknown_key_named(self):
         with pytest.raises(ConfigError, match="p99_budget"):
@@ -107,20 +105,9 @@ class TestChaosScheduleValidation:
         with pytest.raises(ConfigError, match="1-based"):
             ChaosSchedule(kills=(0,))
 
-    def test_slow_delay_must_be_positive(self):
-        with pytest.raises(ConfigError, match="> 0 seconds"):
-            ChaosSchedule(slow=((2, 0.0),))
-
     def test_io_errno_must_be_positive(self):
         with pytest.raises(ConfigError, match="errno"):
             ChaosSchedule(io_errors=((2, 0),))
-
-    def test_requires_parallel_only_for_worker_faults(self):
-        assert ChaosSchedule(crashes=(1,)).requires_parallel
-        assert ChaosSchedule(slow=((1, 0.5),)).requires_parallel
-        assert not ChaosSchedule(
-            kills=(1,), torn_cursors=(2,), io_errors=((3, errno.EACCES),)
-        ).requires_parallel
 
     def test_max_batch_and_n_faults(self):
         schedule = ChaosSchedule(kills=(4,), torn_state=(9,))
@@ -134,22 +121,20 @@ class TestSmokeSchedule:
         schedule = ChaosSchedule.smoke(10)
         assert schedule.sites() == CHAOS_SITES
         assert schedule.n_faults == len(CHAOS_SITES)
-        # One fault per batch, batches 1..6, tear_cursor first so its
+        # One fault per batch, batches 1..4, tear_cursor first so its
         # restart-from-head fallback reworks exactly one batch.
         assert [(c.batch, c.site) for c in schedule.cells()] == list(
             enumerate(CHAOS_SITES, start=1)
         ) == [
             (1, SITE_TEAR_CURSOR),
-            (2, SITE_WORKER_CRASH),
-            (3, SITE_SLOW_SHARD),
-            (4, SITE_KILL_RESUME),
-            (5, SITE_CKPT_IO),
-            (6, SITE_TEAR_STATE),
+            (2, SITE_KILL_RESUME),
+            (3, SITE_CKPT_IO),
+            (4, SITE_TEAR_STATE),
         ]
 
     def test_truncates_to_available_batches(self):
         schedule = ChaosSchedule.smoke(2)
-        assert schedule.sites() == (SITE_TEAR_CURSOR, SITE_WORKER_CRASH)
+        assert schedule.sites() == (SITE_TEAR_CURSOR, SITE_KILL_RESUME)
         assert schedule.max_batch == 2
 
     def test_needs_at_least_one_batch(self):

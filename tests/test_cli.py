@@ -385,6 +385,7 @@ class TestRecordAndServe:
             "--status-port", "--no-api", "--parity-check",
         ):
             assert flag in out
+        assert "--parallel" not in out
 
     def test_serve_with_parity_check(self, stream_file, tmp_path, capsys):
         assert main(
@@ -455,6 +456,8 @@ class TestSoak:
             "--workdir", "--bench-out", "--min-throughput",
         ):
             assert flag in out
+        for flag in ("--parallel", "--shard-timeout", "--slow-seconds"):
+            assert flag not in out
 
     def test_fault_free_soak_passes_and_writes_bench(
         self, stream_file, tmp_path, capsys
@@ -479,26 +482,14 @@ class TestSoak:
         assert main(
             ["soak", str(stream_file), "--workdir", str(tmp_path / "run"),
              "--chaos", "smoke", "--batch-size", "120",
-             "--n-shards", "2", "--parallel", "--slow-seconds", "0.3",
+             "--n-shards", "2",
              "--slo-p99-ms", "120000", "--bench-out", str(bench)]
         ) == 0
         out = capsys.readouterr().out
-        for site in (
-            "tear_cursor", "worker_crash", "slow_shard",
-            "kill_resume", "ckpt_io", "tear_state",
-        ):
+        for site in ("tear_cursor", "kill_resume", "ckpt_io", "tear_state"):
             assert site in out
         payload = json.loads(bench.read_text())
-        assert payload["soak"]["faults_injected"] == 6
-
-    def test_chaos_smoke_without_parallel_is_config_error(
-        self, stream_file, tmp_path, capsys
-    ):
-        assert main(
-            ["soak", str(stream_file), "--workdir", str(tmp_path / "run"),
-             "--chaos", "smoke", "--batch-size", "120"]
-        ) == 2
-        assert "configuration error" in capsys.readouterr().err
+        assert payload["soak"]["faults_injected"] == 4
 
     def test_slo_violation_exits_1(self, stream_file, tmp_path, capsys):
         assert main(
