@@ -445,30 +445,37 @@ class TestEngineBitIdentity:
     def test_sharded_slab_fit_survives_retry_and_degrade(
         self, frames, tmp_path, monkeypatch
     ):
-        # Workers write their rows into a result file: a crashed attempt,
-        # its retry and the in-process fallback must all land the same
-        # bytes, and the file's directory must not outlive the fit.
+        # Workers write their rows into a result file: a crashed, failed
+        # or timed-out attempt, its retry and the in-process fallback must
+        # all land the same bytes, and the file's directory must not
+        # outlive the fit, even while a timed-out worker still sleeps.
         scratch = tmp_path / "scratch"
         scratch.mkdir()
         monkeypatch.setattr(tempfile, "tempdir", str(scratch))
         in_ram, slab = frames
         serial = stability_matrix(in_ram, alpha=2.0, n_jobs=1)
-        plan = FaultPlan(crashes=((0, 0),), errors=((1, 0),))
-        sharded = stability_matrix(
-            slab, alpha=2.0, n_jobs=2, retries=0, fault_plan=plan
-        )
-        assert sharded.execution.n_degraded == 2
-        for field in ("stability", "kept_mass", "total_mass"):
-            ours = np.asarray(getattr(sharded, field))
-            theirs = np.asarray(getattr(serial, field))
-            assert ours.tobytes() == theirs.tobytes(), field
-        retried = stability_matrix(
-            slab, alpha=2.0, n_jobs=2, retries=1, fault_plan=plan
-        )
-        assert retried.execution.n_retried == 2
-        assert retried.execution.n_degraded == 0
-        assert retried.stability.tobytes() == serial.stability.tobytes()
-        assert list(scratch.iterdir()) == []
+        for plan, timeout in (
+            (FaultPlan(crashes=((0, 0),), errors=((1, 0),)), None),
+            (FaultPlan(slow=((0, 0, 3.0), (1, 0, 3.0))), 1.0),
+        ):
+            sharded = stability_matrix(
+                slab, alpha=2.0, n_jobs=2, retries=0,
+                shard_timeout=timeout, fault_plan=plan,
+            )
+            assert sharded.execution.n_degraded == 2
+            for field in ("stability", "kept_mass", "total_mass"):
+                ours = np.asarray(getattr(sharded, field))
+                theirs = np.asarray(getattr(serial, field))
+                assert ours.tobytes() == theirs.tobytes(), field
+            assert list(scratch.iterdir()) == []
+            retried = stability_matrix(
+                slab, alpha=2.0, n_jobs=2, retries=1,
+                shard_timeout=timeout, fault_plan=plan,
+            )
+            assert retried.execution.n_retried == 2
+            assert retried.execution.n_degraded == 0
+            assert retried.stability.tobytes() == serial.stability.tobytes()
+            assert list(scratch.iterdir()) == []
 
     def test_out_of_core_kernel_chunks_per_store_shard(self, frames):
         # customers_per_shard=5 on 24 customers -> the serial slab fit

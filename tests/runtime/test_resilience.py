@@ -54,14 +54,26 @@ def test_killed_worker_mid_fit_is_bit_identical(frame):
 
 def test_exhausted_retries_still_bit_identical(frame):
     serial = stability_matrix(frame, n_jobs=1)
-    degraded = stability_matrix(
-        frame,
-        n_jobs=2,
-        retries=0,
-        fault_plan=FaultPlan(crashes=((0, 0), (1, 0))),
-    )
-    _assert_same_matrices(serial, degraded)
-    assert degraded.execution.n_degraded == 2
+    # Both shards fail their only pool attempt: the workers die, or they
+    # sleep past the wave deadline and keep running after it.
+    for plan, timeout in (
+        (FaultPlan(crashes=((0, 0), (1, 0))), None),
+        (FaultPlan(slow=((0, 0, 3.0), (1, 0, 3.0))), 1.0),
+    ):
+        degraded = stability_matrix(
+            frame,
+            n_jobs=2,
+            retries=0,
+            shard_timeout=timeout,
+            fault_plan=plan,
+        )
+        _assert_same_matrices(serial, degraded)
+        assert degraded.execution.n_degraded == 2
+        if timeout is not None:
+            assert all(
+                "TimeoutError" in outcome.errors[0]
+                for outcome in degraded.execution.outcomes
+            )
 
 
 def test_model_surfaces_execution_report(tiny_dataset, frame):
