@@ -29,6 +29,7 @@ __all__ = [
     "scaling_telemetry",
     "slab_grid_telemetry",
     "protocol_telemetry",
+    "noise_floored_overhead",
     "resilience_telemetry",
     "telemetry_overhead",
     "write_scaling_json",
@@ -359,6 +360,36 @@ def protocol_telemetry(
     }
 
 
+def noise_floored_overhead(
+    base_runs: Sequence[float], test_runs: Sequence[float]
+) -> dict:
+    """Overhead of ``test_runs`` over ``base_runs``, judged against noise.
+
+    Each arm is summarised by its minimum (one-off costs dominate single
+    runs, so means are meaningless) and its run-to-run spread, relative
+    to that minimum, is its noise floor.  When the signed overhead of the
+    minima sits inside the larger of the two floors the result is
+    *noise-dominated*: the headline ``overhead_pct`` is clamped to be
+    non-negative, since a measured speedup there is noise rather than a
+    result, and the signed value stays in ``raw_overhead_pct``.
+    """
+    base, test = min(base_runs), min(test_runs)
+    raw_overhead = (test - base) / base * 100.0
+    noise_floor = max(
+        (max(runs) - min(runs)) / min(runs) * 100.0
+        for runs in (base_runs, test_runs)
+    )
+    noise_dominated = abs(raw_overhead) <= noise_floor
+    return {
+        "raw_overhead_pct": raw_overhead,
+        "noise_floor_pct": noise_floor,
+        "noise_dominated": noise_dominated,
+        "overhead_pct": (
+            max(raw_overhead, 0.0) if noise_dominated else raw_overhead
+        ),
+    }
+
+
 def resilience_telemetry(
     size: int = 100,
     seed: int = 13,
@@ -378,14 +409,10 @@ def resilience_telemetry(
     acceptance criteria.  ``size`` is per-cohort (total customers =
     ``2 * size``).
 
-    Measurement protocol: the arms interleave ``repeat`` times and each
-    arm reports its minimum (process-pool spin-up dominates a single
-    run, so means are meaningless).  The run-to-run spread of each arm
-    is its noise floor; when the measured overhead sits inside the
-    larger of the two floors the result is *noise-dominated* — the
-    reported ``overhead_pct`` is clamped to be non-negative and the raw
-    signed value is preserved in ``raw_overhead_pct``.  This is what
-    previously produced a nonsensical "-2.36% overhead".
+    Measurement protocol: the arms interleave ``repeat`` times and the
+    per-run timings go through :func:`noise_floored_overhead` (process-
+    pool spin-up dominates a single run, so each arm reports its minimum
+    and a gap inside the run-to-run spread is noise, not overhead).
     """
     if repeat < 1:
         raise ConfigError(f"repeat must be >= 1, got {repeat}")
@@ -408,14 +435,6 @@ def resilience_telemetry(
         start = time.perf_counter()
         stability_matrix(frame, alpha=alpha, n_jobs=n_jobs)
         resilient_runs.append(time.perf_counter() - start)
-    bare = min(bare_runs)
-    resilient = min(resilient_runs)
-    raw_overhead = (resilient - bare) / bare * 100.0
-    noise_floor = max(
-        (max(runs) - min(runs)) / min(runs) * 100.0
-        for runs in (bare_runs, resilient_runs)
-    )
-    noise_dominated = abs(raw_overhead) <= noise_floor
     return {
         "scenario": "resilient_executor_overhead",
         "customers": frame.n_customers,
@@ -424,14 +443,9 @@ def resilience_telemetry(
         "alpha": alpha,
         "seed": seed,
         "repeat": repeat,
-        "bare_seconds": bare,
-        "resilient_seconds": resilient,
-        "raw_overhead_pct": raw_overhead,
-        "noise_floor_pct": noise_floor,
-        "noise_dominated": noise_dominated,
-        "overhead_pct": (
-            max(raw_overhead, 0.0) if noise_dominated else raw_overhead
-        ),
+        "bare_seconds": min(bare_runs),
+        "resilient_seconds": min(resilient_runs),
+        **noise_floored_overhead(bare_runs, resilient_runs),
     }
 
 
@@ -453,7 +467,9 @@ def telemetry_overhead(
     bit-identical AUROC (pinned by differential tests); the gap is the
     pure cost of span/instrument bookkeeping, pinned below 3% by the
     acceptance criteria.  ``size`` is per-cohort (total customers =
-    ``2 * size``).
+    ``2 * size``).  The per-run timings go through
+    :func:`noise_floored_overhead`, so a gap inside the run-to-run
+    spread is reported as noise, not as a negative overhead.
     """
     if repeat < 1:
         raise ConfigError(f"repeat must be >= 1, got {repeat}")
@@ -478,18 +494,18 @@ def telemetry_overhead(
     # allocator/numpy cache priming — on a ~0.1s sweep that one-off cost
     # would otherwise dwarf the few-percent effect being measured.
     _roc_sweep_frame(bundle, config, train, test)
-    disabled = float("inf")
-    recording = float("inf")
+    disabled_runs: list[float] = []
+    recording_runs: list[float] = []
     n_spans = 0
     for _ in range(repeat):
         start = time.perf_counter()
         _roc_sweep_frame(bundle, config, train, test)
-        disabled = min(disabled, time.perf_counter() - start)
+        disabled_runs.append(time.perf_counter() - start)
         tracer, registry = Tracer(), MetricsRegistry()
         with use_tracer(tracer), use_metrics(registry):
             start = time.perf_counter()
             _roc_sweep_frame(bundle, config, train, test)
-            recording = min(recording, time.perf_counter() - start)
+            recording_runs.append(time.perf_counter() - start)
         n_spans = len(tracer.records)
     return {
         "scenario": "telemetry_overhead",
@@ -501,9 +517,9 @@ def telemetry_overhead(
         "seed": seed,
         "repeat": repeat,
         "spans_per_sweep": n_spans,
-        "disabled_seconds": disabled,
-        "recording_seconds": recording,
-        "overhead_pct": (recording - disabled) / disabled * 100.0,
+        "disabled_seconds": min(disabled_runs),
+        "recording_seconds": min(recording_runs),
+        **noise_floored_overhead(disabled_runs, recording_runs),
     }
 
 
@@ -565,17 +581,13 @@ def render_scaling(telemetry: dict) -> str:
         )
     resilience = telemetry.get("resilient_executor")
     if resilience is not None:
-        noise = (
-            f", noise-dominated (floor {resilience['noise_floor_pct']:.1f}%)"
-            if resilience.get("noise_dominated")
-            else ""
-        )
         table += (
             f"\n\nresilient executor ({resilience['customers']} customers, "
             f"{resilience['n_jobs']} shards): "
             f"bare {resilience['bare_seconds']:.3f}s, "
             f"resilient {resilience['resilient_seconds']:.3f}s "
-            f"({resilience['overhead_pct']:+.1f}% overhead{noise})"
+            f"({resilience['overhead_pct']:+.1f}% overhead"
+            f"{_noise_note(resilience)})"
         )
     slab_grid = telemetry.get("slab_grid")
     if slab_grid is not None:
@@ -612,6 +624,14 @@ def render_scaling(telemetry: dict) -> str:
             f"{overhead['spans_per_sweep']} spans/sweep): "
             f"off {overhead['disabled_seconds']:.3f}s, "
             f"on {overhead['recording_seconds']:.3f}s "
-            f"({overhead['overhead_pct']:+.1f}% overhead)"
+            f"({overhead['overhead_pct']:+.1f}% overhead"
+            f"{_noise_note(overhead)})"
         )
     return table
+
+
+def _noise_note(entry: dict) -> str:
+    """Render suffix flagging a :func:`noise_floored_overhead` clamp."""
+    if not entry.get("noise_dominated"):
+        return ""
+    return f", noise-dominated (floor {entry['noise_floor_pct']:.1f}%)"
