@@ -242,7 +242,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--n-jobs", type=int, default=1, help="worker processes for the batch backend"
     )
     bench.add_argument(
-        "--json", type=Path, default=None, help="write machine-readable telemetry here"
+        "--json",
+        type=Path,
+        default=None,
+        help="merge machine-readable telemetry into this file (other top-level keys are kept)",
     )
     bench.add_argument(
         "--protocol-size",
@@ -825,13 +828,13 @@ def _cmd_obs(args: argparse.Namespace) -> int:
 
 def _cmd_bench(args: argparse.Namespace) -> int:
     from repro.eval.benchmarking import (
+        merge_scaling_json,
         protocol_telemetry,
         render_scaling,
         resilience_telemetry,
         scaling_telemetry,
         slab_grid_telemetry,
         telemetry_overhead,
-        write_scaling_json,
     )
 
     backends = (
@@ -869,8 +872,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     print(f"stability fit scaling (best-of-{args.repeat} wall clock)")
     print(render_scaling(telemetry))
     if args.json is not None:
-        write_scaling_json(args.json, telemetry)
-        print(f"wrote telemetry to {args.json}")
+        merge_scaling_json(args.json, telemetry)
+        print(f"merged telemetry into {args.json}")
     return 0
 
 

@@ -13,7 +13,6 @@ Layered exactly as Section 2 of the paper:
 
 from repro.core.batch import (
     BatchStability,
-    batch_churn_scores,
     significance_from_counts,
     stability_matrix,
 )
@@ -38,7 +37,6 @@ from repro.core.explanation import (
     DropExplanation,
     MissingItem,
     explain_drop,
-    explain_trajectory,
     explain_window,
 )
 from repro.core.model import StabilityModel
@@ -68,7 +66,6 @@ __all__ = [
     "frame_windowed_history",
     "get_engine",
     "register_engine",
-    "batch_churn_scores",
     "significance_from_counts",
     "stability_matrix",
     "validate_alpha",
@@ -99,7 +96,6 @@ __all__ = [
     "WindowGrid",
     "WindowStability",
     "explain_drop",
-    "explain_trajectory",
     "explain_window",
     "stability_trajectory",
     "tune_stability_model",

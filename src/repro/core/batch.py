@@ -16,9 +16,6 @@ whole-population throughput rather than per-customer clarity:
   counts, the log-space saturated exponential rule (identical to
   :class:`~repro.core.significance.ExponentialSignificance`), and
   empty-segment-safe ``reduceat`` sums over the customer axis;
-* scoring one window for the whole population
-  (:func:`batch_churn_scores`) slices the cumulative-count math at ``k``
-  — no per-customer trajectory recomputation;
 * the customer axis shards across worker processes (``n_jobs``) for
   multi-core fits, behind the fault-isolating
   :func:`~repro.runtime.executor.run_sharded` protocol: a shard whose
@@ -46,16 +43,13 @@ from __future__ import annotations
 import math
 import os
 import tempfile
-from collections.abc import Iterable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.core.significance import validate_alpha
-from repro.core.windowing import WindowGrid
 from repro.data.population import PopulationFrame
-from repro.data.transactions import TransactionLog
 from repro.errors import ConfigError
 from repro.obs import span, timed_stage
 from repro.obs.metrics import STAGE_NORMALIZE, STAGE_SIGNIFICANCE
@@ -66,7 +60,6 @@ __all__ = [
     "PopulationFrame",
     "BatchStability",
     "stability_matrix",
-    "batch_churn_scores",
     "significance_from_counts",
 ]
 
@@ -361,42 +354,3 @@ def _stability_matrix_bare(
     with ProcessPoolExecutor(max_workers=len(shards)) as executor:
         parts = list(executor.map(_shard_worker, shards))
     return BatchStability(population, *_stack_parts(parts))
-
-
-def batch_churn_scores(
-    log: TransactionLog,
-    grid: WindowGrid,
-    window_index: int,
-    customers: Iterable[int] | None = None,
-    alpha: float = 2.0,
-) -> dict[int, float]:
-    """Churn scores (``1 - stability``) for a population at one window.
-
-    Unlike a trajectory fit, this slices the cumulative-count math at
-    ``window_index``: only presences strictly before ``k`` feed the
-    significance counts and only presence *at* ``k`` feeds the kept mass,
-    so the cost is one pass over the triples regardless of how many
-    windows the grid has.  Undefined stability maps to the neutral 0.5.
-    """
-    if not 0 <= window_index < grid.n_windows:
-        raise ConfigError(
-            f"window index {window_index} out of range [0, {grid.n_windows})"
-        )
-    validate_alpha(alpha)
-    population = PopulationFrame.from_log(log, grid, customers)
-    pair_rows = population.pair_rows()
-    before = population.triple_window < window_index
-    prior = np.bincount(
-        pair_rows[before], minlength=population.n_pairs
-    ).astype(np.float64)
-    present = np.zeros(population.n_pairs, dtype=np.float64)
-    present[pair_rows[population.triple_window == window_index]] = 1.0
-    significance = significance_from_counts(prior, window_index, alpha)
-    total = _segment_sum(significance, population.pair_offsets)
-    kept = _segment_sum(significance * present, population.pair_offsets)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        churn = np.where(total > 0.0, 1.0 - kept / total, 0.5)
-    return {
-        int(customer_id): float(score)
-        for customer_id, score in zip(population.customer_ids, churn, strict=True)
-    }

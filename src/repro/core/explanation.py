@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from repro.core.stability import StabilityTrajectory, WindowStability
 from repro.errors import ConfigError
 
-__all__ = ["MissingItem", "DropExplanation", "explain_window", "explain_drop", "explain_trajectory"]
+__all__ = ["MissingItem", "DropExplanation", "explain_window", "explain_drop"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -128,10 +128,3 @@ def explain_drop(
     ``explain_drop(traj, k)`` after ``traj.drops()`` flagged ``k``.
     """
     return explain_window(trajectory, window_index)
-
-
-def explain_trajectory(
-    trajectory: StabilityTrajectory, drop_threshold: float = 0.1
-) -> list[DropExplanation]:
-    """Explanations for every window flagged as a stability drop."""
-    return [explain_drop(trajectory, k) for k in trajectory.drops(drop_threshold)]

@@ -12,11 +12,15 @@ Its state is columnar, one set of arrays per monitor: per customer (ids
 ascending) ``n_windows`` and ``last_stability``; a presence CSR of int32
 ``item`` / ``count`` / ``first_seen``, each customer's segment in
 (first-seen window, item) order; the last close's significance of every
-missing item, aligned to the CSR; and the open window's item sets for
-the customers who shopped in it.  Ingest is a per-basket set union; a
-window close is one vectorised significance call plus segment sums over
-the CSR, then a vectorised merge of the window into it.  Memory is
-O(customers x items-ever-bought), independent of history length, and a
+missing item, aligned to the CSR; the open window's item sets for the
+customers who shopped in it; and an append-only alarm log of
+``alarm_customer`` / ``alarm_window`` / ``alarm_stability``, in emission
+order (window ascending, then customer ascending).  The serving layer
+reads its scores and alarm history straight from these columns.  Ingest
+is a per-basket set union; a window close is one vectorised
+significance call plus segment sums over the CSR, then a vectorised
+merge of the window into it.  Memory is O(customers x
+items-ever-bought) plus one alarm-log row per alarm emitted, and a
 snapshot is those columns as they stand (:mod:`repro.runtime.snapshot`).
 
 Equivalence with the batch model is pinned by tests.
@@ -139,6 +143,9 @@ class StabilityMonitor:
         self._counts = np.empty(0, dtype=np.int32)
         self._first_seen = np.empty(0, dtype=np.int32)
         self._missing = np.empty(0, dtype=np.float64)
+        self._alarm_customer = np.empty(0, dtype=np.int64)
+        self._alarm_window = np.empty(0, dtype=np.int32)
+        self._alarm_stability = np.empty(0, dtype=np.float64)
         self._current: dict[int, set[int]] = {}
 
     @classmethod
@@ -395,10 +402,20 @@ class StabilityMonitor:
         stabilities = dict(zip(ids.tolist(), stability.tolist(), strict=True))
         alarms: tuple[Alarm, ...] = ()
         if window_index >= self.first_alarm_window:
+            flagged = stability <= self.beta  # nan never alarms
+            alarm_ids, alarm_values = ids[flagged], stability[flagged]
             alarms = tuple(
                 Alarm(customer_id=cid, window_index=window_index, stability=value)
-                for cid, value in stabilities.items()
-                if value <= self.beta
+                for cid, value in zip(
+                    alarm_ids.tolist(), alarm_values.tolist(), strict=True
+                )
+            )
+            self._alarm_customer = np.concatenate((self._alarm_customer, alarm_ids))
+            self._alarm_window = np.concatenate(
+                (self._alarm_window, np.full(alarm_ids.size, window_index, np.int32))
+            )
+            self._alarm_stability = np.concatenate(
+                (self._alarm_stability, alarm_values)
             )
         report = WindowCloseReport(
             window_index=window_index, stabilities=stabilities, alarms=alarms

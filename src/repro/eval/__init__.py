@@ -20,7 +20,6 @@ from repro.eval.benchmarking import (
     render_scaling,
     scaling_telemetry,
     time_fit,
-    write_scaling_json,
 )
 from repro.eval.campaign import CampaignComparison, CampaignPoint, compare_models
 from repro.eval.customer_report import (
@@ -46,11 +45,8 @@ from repro.eval.reporting import (
     render_campaign,
     render_dataset_stats,
     render_delay,
-    render_explanation_quality,
     render_figure1,
     render_figure2,
-    render_mechanisms,
-    render_variance,
 )
 from repro.eval.tables import DatasetStats, dataset_stats
 from repro.eval.variance import VarianceSummary, figure1_variance
@@ -76,7 +72,6 @@ __all__ = [
     "render_scaling",
     "scaling_telemetry",
     "time_fit",
-    "write_scaling_json",
     "detection_delay",
     "mechanism_crossover",
     "vacation_sensitivity",
@@ -96,11 +91,8 @@ __all__ = [
     "render_campaign",
     "render_dataset_stats",
     "render_delay",
-    "render_explanation_quality",
     "render_figure1",
     "render_figure2",
-    "render_mechanisms",
-    "render_variance",
     "run_figure1",
     "run_figure2",
     "significance_function_sweep",

@@ -32,7 +32,6 @@ __all__ = [
     "noise_floored_overhead",
     "resilience_telemetry",
     "telemetry_overhead",
-    "write_scaling_json",
     "merge_scaling_json",
     "render_scaling",
 ]
@@ -521,11 +520,6 @@ def telemetry_overhead(
         "recording_seconds": min(recording_runs),
         **noise_floored_overhead(disabled_runs, recording_runs),
     }
-
-
-def write_scaling_json(path: Path | str, telemetry: dict) -> None:
-    """Persist telemetry as indented JSON (stable key order for diffs)."""
-    atomic_write_json(path, telemetry, indent=2)
 
 
 def merge_scaling_json(path: Path | str, updates: dict) -> dict:

@@ -10,14 +10,12 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 
-from repro.eval.ablations import AblationPoint, ExplanationQuality
+from repro.eval.ablations import AblationPoint
 from repro.eval.campaign import CampaignComparison
 from repro.eval.delay import DelayAnalysis
 from repro.eval.figure1 import Figure1Result
 from repro.eval.figure2 import Figure2Result
-from repro.eval.robustness import MechanismResult
 from repro.eval.tables import DatasetStats
-from repro.eval.variance import VarianceSummary
 from repro.viz.ascii import line_chart
 
 __all__ = [
@@ -26,11 +24,8 @@ __all__ = [
     "render_figure2",
     "render_dataset_stats",
     "render_ablation",
-    "render_explanation_quality",
     "render_delay",
     "render_campaign",
-    "render_mechanisms",
-    "render_variance",
 ]
 
 
@@ -109,15 +104,6 @@ def render_ablation(title: str, points: Sequence[AblationPoint]) -> str:
     return f"{title}\n{format_table(('configuration', 'AUROC'), rows)}"
 
 
-def render_explanation_quality(quality: ExplanationQuality) -> str:
-    """The A3 explanation-quality summary."""
-    return (
-        f"explanation quality (top-{quality.top_k}, {quality.n_evaluated} "
-        f"drop windows): precision={quality.precision:.3f} "
-        f"recall={quality.recall:.3f}"
-    )
-
-
 def render_delay(analysis: DelayAnalysis) -> str:
     """The A4 detection-delay summary (one operating point)."""
     rows = [
@@ -145,25 +131,3 @@ def render_campaign(
     return format_table(
         ("model", *(f"AUROC m{m}" for m in months), f"lift@{budget:.0%}"), rows
     )
-
-
-def render_mechanisms(
-    results: Sequence[MechanismResult], months: Sequence[int]
-) -> str:
-    """The A7a mechanism-crossover table."""
-    months = sorted(months)
-    rows = []
-    for result in results:
-        for name, series in (
-            ("stability", result.stability_auroc),
-            ("rfm", result.rfm_auroc),
-        ):
-            rows.append(
-                (result.mechanism, name, *(f"{series[m]:.3f}" for m in months))
-            )
-    return format_table(("mechanism", "model", *(f"m{m}" for m in months)), rows)
-
-
-def render_variance(summary: VarianceSummary) -> str:
-    """The S3 seed-variance table (mean ± std per month)."""
-    return format_table(("month", "stability", "rfm"), summary.rows())

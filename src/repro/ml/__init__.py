@@ -14,13 +14,12 @@ from repro.ml.calibration import (
     expected_calibration_error,
     reliability_curve,
 )
-from repro.ml.crossval import GridSearchResult, KFold, StratifiedKFold, grid_search
+from repro.ml.crossval import GridSearchResult, StratifiedKFold, grid_search
 from repro.ml.logistic import LogisticRegression, log_loss, sigmoid
 from repro.ml.metrics import (
     ConfusionMatrix,
     RocCurve,
     auroc,
-    brier_score,
     confusion_at_threshold,
     lift_at_fraction,
     precision_recall_f1,
@@ -33,7 +32,6 @@ __all__ = [
     "ConfusionMatrix",
     "GridSearchResult",
     "bootstrap_auroc_ci",
-    "KFold",
     "LogisticRegression",
     "PlattCalibrator",
     "ReliabilityBin",
@@ -43,7 +41,6 @@ __all__ = [
     "StandardScaler",
     "StratifiedKFold",
     "auroc",
-    "brier_score",
     "confusion_at_threshold",
     "grid_search",
     "impute_finite",

@@ -2,8 +2,8 @@
 
 The paper selects its hyper-parameters (window length 2 months, alpha = 2)
 "after performing a 5-fold cross-validation search".  This module provides
-the splitters (plain and stratified k-fold over customers) and a small
-generic grid-search driver used by :mod:`repro.core.tuning`.
+the stratified k-fold splitter over customers and a small generic
+grid-search driver used by :mod:`repro.core.tuning`.
 """
 
 from __future__ import annotations
@@ -16,42 +16,7 @@ import numpy as np
 
 from repro.errors import ConfigError, DataError
 
-__all__ = ["KFold", "StratifiedKFold", "GridSearchResult", "grid_search"]
-
-
-class KFold:
-    """Deterministic k-fold splitter over ``n`` indices.
-
-    Parameters
-    ----------
-    n_splits:
-        Number of folds (>= 2).
-    shuffle:
-        Whether to shuffle indices before splitting.
-    seed:
-        Seed for the shuffle (ignored when ``shuffle`` is false).
-    """
-
-    def __init__(self, n_splits: int = 5, shuffle: bool = True, seed: int = 0) -> None:
-        if n_splits < 2:
-            raise ConfigError(f"n_splits must be >= 2, got {n_splits}")
-        self.n_splits = int(n_splits)
-        self.shuffle = bool(shuffle)
-        self.seed = int(seed)
-
-    def split(self, n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        """Yield ``(train_indices, test_indices)`` pairs."""
-        if n < self.n_splits:
-            raise DataError(f"cannot split {n} samples into {self.n_splits} folds")
-        indices = np.arange(n)
-        if self.shuffle:
-            rng = np.random.default_rng(self.seed)
-            rng.shuffle(indices)
-        folds = np.array_split(indices, self.n_splits)
-        for i in range(self.n_splits):
-            test = folds[i]
-            train = np.concatenate([folds[j] for j in range(self.n_splits) if j != i])
-            yield np.sort(train), np.sort(test)
+__all__ = ["StratifiedKFold", "GridSearchResult", "grid_search"]
 
 
 class StratifiedKFold:

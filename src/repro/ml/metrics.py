@@ -23,7 +23,6 @@ __all__ = [
     "ConfusionMatrix",
     "precision_recall_f1",
     "lift_at_fraction",
-    "brier_score",
 ]
 
 
@@ -184,11 +183,3 @@ def lift_at_fraction(y_true: np.ndarray, scores: np.ndarray, fraction: float) ->
     top = np.argsort(-scores, kind="mergesort")[:k]
     top_rate = float(y_true[top].mean())
     return top_rate / base_rate
-
-
-def brier_score(y_true: np.ndarray, probs: np.ndarray) -> float:
-    """Mean squared error of probabilistic predictions."""
-    y_true, probs = _validate_scores(y_true, probs)
-    if ((probs < 0) | (probs > 1)).any():
-        raise DataError("brier score requires probabilities in [0, 1]")
-    return float(np.mean((probs - y_true) ** 2))

@@ -5,16 +5,17 @@ columnar state as it stands (see :mod:`repro.core.streaming`), as a
 :data:`Columns` mapping: ``customer_id`` / ``n_windows`` /
 ``last_stability`` per customer; the presence CSR ``offsets`` +
 ``item`` / ``count`` / ``first_seen`` / ``missing`` in (first-seen
-window, item) order, the order the window close sums in; the open
-window's ``current_id`` / ``current_offsets`` / ``current_item``; and a
-``header`` column of UTF-8 JSON holding the schema, version, window
-grid, scoring configuration and stream position.  A restored monitor
-emits bit-identical :class:`~repro.core.streaming.WindowCloseReport`
-objects for the rest of the stream, and ``explain_alarm`` keeps working.
+window, item) order, the order the window close sums in; the alarm log
+``alarm_customer`` / ``alarm_window`` / ``alarm_stability`` in emission
+order; the open window's ``current_id`` / ``current_offsets`` /
+``current_item``; and a ``header`` column of UTF-8 JSON holding the
+schema, version, window grid, scoring configuration and stream
+position.  A restored monitor emits bit-identical
+:class:`~repro.core.streaming.WindowCloseReport` objects for the rest
+of the stream, and ``explain_alarm`` keeps working.
 
-The same mapping is the serving pool's worker payload, and
-:func:`write_columns` stores any :data:`Columns` (the serve checkpoint's
-score table too) as one uncompressed ``.npz`` through
+These columns are the serve layer's only score state:
+:func:`write_columns` stores them as one uncompressed ``.npz`` through
 :class:`~repro.atomicio.AtomicBinaryWriter`.  :func:`read_columns` and
 :func:`check_columns` turn truncation, a CRC mismatch, a foreign schema,
 version drift and a missing, mistyped or misshapen column into
@@ -56,7 +57,7 @@ __all__ = [
 Columns = dict[str, np.ndarray]
 
 SNAPSHOT_SCHEMA = "repro.stability-monitor"
-SNAPSHOT_VERSION = 2
+SNAPSHOT_VERSION = 3
 
 #: Each state column: the monitor attribute holding it and its dtype.
 _STATE: dict[str, tuple[str, type[np.generic]]] = {
@@ -68,7 +69,11 @@ _STATE: dict[str, tuple[str, type[np.generic]]] = {
     "count": ("_counts", np.int32),
     "first_seen": ("_first_seen", np.int32),
     "missing": ("_missing", np.float64),
+    "alarm_customer": ("_alarm_customer", np.int64),
+    "alarm_window": ("_alarm_window", np.int32),
+    "alarm_stability": ("_alarm_stability", np.float64),
 }
+_ALARM_LOG = ("alarm_customer", "alarm_window", "alarm_stability")
 _MONITOR_COLUMNS: dict[str, type[np.generic]] = {
     **{name: dtype for name, (_, dtype) in _STATE.items()},
     **dict.fromkeys(("current_id", "current_offsets", "current_item"), np.int64),
@@ -254,6 +259,8 @@ def restore_monitor(columns: Columns) -> StabilityMonitor:
     for name in ("customer_id", "current_id"):
         if np.any(np.diff(columns[name]) <= 0):
             raise SnapshotError(f"snapshot column {name!r} is not strictly ascending")
+    if len({len(columns[name]) for name in _ALARM_LOG}) != 1:
+        raise SnapshotError(f"snapshot columns {_ALARM_LOG} differ in length")
     try:
         months = header["grid"]["months_per_window"]
         monitor = StabilityMonitor(

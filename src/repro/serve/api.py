@@ -4,7 +4,8 @@ Two layers, zero new runtime dependencies:
 
 * :class:`StatusBoard` — a thread-safe, in-process view the serving
   loop keeps current (checkpoint phase + cursor, the four runbook
-  counters, per-customer current score/flag, the run manifest).  Its
+  counters, the committed shard snapshot columns that per-customer
+  scores and flags are read from, the run manifest).  Its
   :meth:`~StatusBoard.handle` method *is* the API: a socket-free
   ``(status_code, payload)`` router over the same paths the HTTP server
   exposes, so tests and embedders never need a port.
@@ -38,10 +39,17 @@ import logging
 import math
 import threading
 from collections import deque
+from collections.abc import Sequence
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from types import TracebackType
+from typing import TYPE_CHECKING
+
+import numpy as np
 
 from repro.obs.export import PROMETHEUS_CONTENT_TYPE
+
+if TYPE_CHECKING:
+    from repro.runtime.snapshot import Columns
 
 __all__ = ["StatusBoard", "StatusServer"]
 
@@ -67,7 +75,7 @@ class StatusBoard:
             "checkpointed": 0,
         }
         self._checkpoint: dict[str, object] = {}
-        self._customers: dict[int, dict[str, object]] = {}
+        self._shards: list[Columns] = []
         self._manifest: dict | None = None
         self._run: dict[str, object] = {}
         self._metrics_text: str | None = None
@@ -103,20 +111,15 @@ class StatusBoard:
                 "finished": finished,
             }
 
-    def upsert_customer(
-        self,
-        customer_id: int,
-        stability: float,
-        flagged: bool,
-        alarm_windows: tuple[tuple[int, float], ...] = (),
-    ) -> None:
-        """Idempotent upsert of one customer's current score/flag."""
+    def set_scores(self, shards: Sequence[Columns]) -> None:
+        """Serve scores from the shard snapshot columns just committed.
+
+        The monitors replace their arrays at every window close instead
+        of mutating them, so holding these columns is safe while the
+        loop serves on.
+        """
         with self._lock:
-            self._customers[int(customer_id)] = {
-                "stability": None if math.isnan(stability) else float(stability),
-                "flagged": bool(flagged),
-                "alarm_windows": [[w, s] for w, s in alarm_windows],
-            }
+            self._shards = list(shards)
 
     def set_manifest(self, manifest: dict) -> None:
         with self._lock:
@@ -147,14 +150,34 @@ class StatusBoard:
                 "phase": self._phase,
                 "counters": dict(self._counters),
                 "checkpoint": dict(self._checkpoint),
-                "customers_tracked": len(self._customers),
+                "customers_tracked": sum(
+                    len(shard["customer_id"]) for shard in self._shards
+                ),
                 "run": dict(self._run),
             }
 
     def customer(self, customer_id: int) -> dict | None:
+        """One customer's stability, flag and alarm windows, or ``None``."""
         with self._lock:
-            record = self._customers.get(int(customer_id))
-            return dict(record) if record is not None else None
+            shards = self._shards
+        for shard in shards:
+            ids = shard["customer_id"]
+            row = int(np.searchsorted(ids, customer_id))
+            if row == len(ids) or ids[row] != customer_id:
+                continue
+            stability = float(shard["last_stability"][row])
+            mine = shard["alarm_customer"] == customer_id
+            alarms = zip(
+                shard["alarm_window"][mine].tolist(),
+                shard["alarm_stability"][mine].tolist(),
+                strict=True,
+            )
+            return {
+                "stability": None if math.isnan(stability) else stability,
+                "flagged": bool(mine.any()),
+                "alarm_windows": [[w, s] for w, s in alarms],
+            }
+        return None
 
     def handle(self, path: str) -> tuple[int, dict | str]:
         """Route one request path; returns ``(status_code, payload)``.

@@ -4,8 +4,9 @@ The serving loop's crash contract — *max rework after a crash is one
 batch* — is carried entirely by the write ordering here:
 
 1. :meth:`ServeCheckpoint.write_state` writes the batch's artifacts
-   (one ``.npz`` snapshot per shard plus the upserted score table) into
-   a **new** commit-indexed directory, each file atomically;
+   (one ``.npz`` monitor snapshot per shard, which holds the shard's
+   scores and alarm log too) into a **new** commit-indexed directory,
+   each file atomically;
 2. :meth:`ServeCheckpoint.commit` atomically replaces ``cursor.json``
    — the single commit point — with a cursor referencing that
    directory, then prunes superseded state directories.
@@ -21,37 +22,26 @@ recorded stream's content fingerprint, the serving-config fingerprint
 and the shard count are all pinned inside it.  Any mismatch — or a
 torn/corrupt cursor, or a missing, truncated or corrupt state file —
 raises :class:`CursorInvalid`, and the loop falls back to restarting
-from the stream head (Snippet-2 semantics: idempotent score upsert,
-warning logged) rather than resuming into the wrong data.
+from the stream head with an empty pool (warning logged) rather than
+resuming into the wrong data.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import logging
-import math
 import shutil
 import time
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
-
-import numpy as np
 
 from repro.atomicio import atomic_write_json
 from repro.errors import ConfigError, ServeError, SnapshotError
 from repro.obs import get_metrics
 from repro.obs import metrics as obs_metrics
-from repro.runtime.snapshot import (
-    Columns,
-    check_columns,
-    pack_header,
-    read_columns,
-    restore_monitor,
-    write_columns,
-)
+from repro.runtime.snapshot import Columns, read_columns, restore_monitor, write_columns
 
 if TYPE_CHECKING:
     from repro.core.streaming import StabilityMonitor
@@ -60,9 +50,6 @@ __all__ = [
     "CURSOR_NAME",
     "CURSOR_SCHEMA",
     "CURSOR_VERSION",
-    "SCORES_NAME",
-    "ScoreRecord",
-    "ScoreTable",
     "CursorInvalid",
     "CheckpointIOExhausted",
     "ServeCursor",
@@ -80,17 +67,6 @@ IOFaultHook = Callable[[str, int, int], None]
 CURSOR_NAME = "cursor.json"
 CURSOR_SCHEMA = "repro.serve-cursor"
 CURSOR_VERSION = 1
-#: Score-table file inside each state directory.
-SCORES_NAME = "scores.npz"
-SCORES_SCHEMA = "repro.serve-scores"
-SCORES_VERSION = 1
-_SCORE_COLUMNS: dict[str, type[np.generic]] = {
-    "customer_id": np.int64,
-    "stability": np.float64,
-    "alarm_offsets": np.int64,
-    "alarm_window": np.int64,
-    "alarm_stability": np.float64,
-}
 
 #: Counter names a cursor persists (the Snippet-2 runbook quartet).
 _COUNTER_KEYS = ("ingested", "scored", "flagged", "checkpointed")
@@ -110,81 +86,12 @@ class CheckpointIOExhausted(ServeError):
     batch, exactly as after a crash."""
 
 
-@dataclass
-class ScoreRecord:
-    """One customer's entry in the served score table."""
-
-    stability: float = math.nan
-    alarm_windows: dict[int, float] = field(default_factory=dict)
-
-    @property
-    def flagged(self) -> bool:
-        """Whether the customer ever alarmed."""
-        return bool(self.alarm_windows)
-
-
-#: The served score table, keyed by customer id.
-ScoreTable = dict[int, ScoreRecord]
-
-
-def encode_scores(table: ScoreTable) -> Columns:
-    """The score table as ``scores.npz`` columns: one row per customer
-    (ids ascending) plus a CSR of its alarms in window order."""
-    ids = sorted(table)
-    alarms = [sorted(table[cid].alarm_windows.items()) for cid in ids]
-    flat = list(itertools.chain.from_iterable(alarms))
-    return {
-        "header": pack_header({"schema": SCORES_SCHEMA, "version": SCORES_VERSION}),
-        "customer_id": np.asarray(ids, dtype=np.int64),
-        "stability": np.asarray([table[c].stability for c in ids], dtype=np.float64),
-        "alarm_offsets": np.cumsum([0] + [len(a) for a in alarms], dtype=np.int64),
-        "alarm_window": np.asarray([w for w, _ in flat], dtype=np.int64),
-        "alarm_stability": np.asarray([v for _, v in flat], dtype=np.float64),
-    }
-
-
-def decode_scores(columns: Columns) -> ScoreTable:
-    """Rebuild the score table from :func:`encode_scores` columns.
-
-    Raises
-    ------
-    SnapshotError
-        On a schema/version mismatch or a missing, mistyped or
-        misshapen column.
-    """
-    check_columns(
-        columns,
-        SCORES_SCHEMA,
-        SCORES_VERSION,
-        _SCORE_COLUMNS,
-        csr=[
-            (
-                "alarm_offsets",
-                ("customer_id", "stability"),
-                ("alarm_window", "alarm_stability"),
-            )
-        ],
-    )
-    bounds = columns["alarm_offsets"].tolist()
-    alarms = list(
-        zip(columns["alarm_window"].tolist(), columns["alarm_stability"].tolist())
-    )
-    rows = zip(
-        columns["customer_id"].tolist(),
-        columns["stability"].tolist(),
-        bounds[:-1],
-        bounds[1:],
-        strict=True,
-    )
-    return {cid: ScoreRecord(value, dict(alarms[lo:hi])) for cid, value, lo, hi in rows}
-
-
 @dataclass(frozen=True)
 class ServeCursor:
     """The committed position of a serving run.
 
     ``commit_index`` names the state directory holding the shard
-    snapshots and score table as of this commit;
+    snapshots as of this commit;
     ``day_batches_consumed`` is the replay skip count (whole days — a
     checkpoint batch never splits a day).  Counters ride inside the
     cursor so a resume restores them atomically with the position.
@@ -261,7 +168,6 @@ class LoadedCheckpoint:
 
     cursor: ServeCursor
     monitors: list[StabilityMonitor]
-    scores: ScoreTable
     #: A state directory newer than the cursor exists: a previous run
     #: crashed between its state write and the cursor commit, so the
     #: resumed run will rework exactly that one batch.
@@ -320,10 +226,6 @@ class ServeCheckpoint:
         """One shard's monitor snapshot inside a commit's state directory."""
         return self.state_dir(commit_index) / f"shard-{shard:04d}.npz"
 
-    def scores_path(self, commit_index: int) -> Path:
-        """The score table inside a commit's state directory."""
-        return self.state_dir(commit_index) / SCORES_NAME
-
     # ------------------------------------------------------------------
     # Write protocol: state first, cursor second (the commit point).
     # ------------------------------------------------------------------
@@ -373,11 +275,10 @@ class ServeCheckpoint:
         self,
         commit_index: int,
         shard_payloads: Sequence[Columns],
-        scores: ScoreTable,
     ) -> Path:
-        """Write one commit's shard snapshots + score table (atomically
-        per file, into a directory the current cursor does not reference
-        yet — so a crash mid-write cannot tear the committed state).
+        """Write one commit's shard snapshots (atomically per file, into
+        a directory the current cursor does not reference yet — so a
+        crash mid-write cannot tear the committed state).
         Transient :class:`OSError` is retried with backoff (see
         :meth:`_with_io_retry`); a re-attempt rewrites the whole state
         directory, which is safe because nothing references it yet."""
@@ -385,9 +286,6 @@ class ServeCheckpoint:
         def write() -> Path:
             for shard, payload in enumerate(shard_payloads):
                 write_columns(self.shard_path(commit_index, shard), payload)
-            write_columns(
-                self.scores_path(commit_index), encode_scores(scores)
-            )
             return self.state_dir(commit_index)
 
         return self._with_io_retry("write_state", commit_index, write)
@@ -472,7 +370,6 @@ class ServeCheckpoint:
                 restore_monitor(read_columns(self.shard_path(commit, shard)))
                 for shard in range(n_shards)
             ]
-            scores = decode_scores(read_columns(self.scores_path(commit)))
         except SnapshotError as exc:
             raise CursorInvalid(
                 f"committed state is missing, torn or corrupt: {exc}"
@@ -480,6 +377,5 @@ class ServeCheckpoint:
         return LoadedCheckpoint(
             cursor=cursor,
             monitors=monitors,
-            scores=scores,
             orphaned_state=self.state_dir(cursor.commit_index + 1).exists(),
         )

@@ -4,10 +4,12 @@
 recorded day-ordered basket stream (:mod:`repro.synth.stream`) in
 checkpoint batches — consecutive whole days until at least
 ``batch_size`` baskets accumulate — plays each batch through a
-:class:`~repro.serve.pool.ShardedMonitorPool`, upserts the resulting
-scores/flags into an idempotent score table, and makes the batch
+:class:`~repro.serve.pool.ShardedMonitorPool` and makes the batch
 durable through :class:`~repro.serve.checkpoint.ServeCheckpoint`'s
-state-then-cursor protocol.  The FeedForward streaming-batch runbook
+state-then-cursor protocol.  The shard monitors' snapshot columns are
+the only score state: the checkpoint writes them, and the result, the
+offline reference and the status board all read scores and alarms from
+them.  The FeedForward streaming-batch runbook
 (SNIPPETS.md Snippet 2) is the contract:
 
 * counters ``ingested`` / ``scored`` / ``flagged`` / ``checkpointed``
@@ -18,8 +20,8 @@ state-then-cursor protocol.  The FeedForward streaming-batch runbook
   before it is re-derived identically on replay;
 * an unusable cursor (torn file, version drift, stream or config
   fingerprint mismatch) is not fatal: the loop logs a warning, counts
-  ``serve.cursor_invalid`` and restarts from the stream head, relying
-  on the score table's idempotent upsert semantics.
+  ``serve.cursor_invalid`` and restarts from the stream head with an
+  empty pool, so nothing it scored before is counted twice.
 
 The headline invariant — pinned by the parity tests and checkable via
 :func:`score_fingerprint` — is that serving a recorded stream to
@@ -36,10 +38,12 @@ import hashlib
 import json
 import logging
 import math
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
+
+import numpy as np
 
 from repro.config import ExperimentConfig
 from repro.core.streaming import StabilityMonitor, WindowCloseReport
@@ -47,13 +51,7 @@ from repro.errors import ConfigError
 from repro.obs import build_manifest, get_metrics, get_tracer, timed_stage, write_manifest
 from repro.obs import metrics as obs_metrics
 from repro.obs.manifest import config_fingerprint
-from repro.serve.checkpoint import (
-    CursorInvalid,
-    ScoreRecord,
-    ScoreTable,
-    ServeCheckpoint,
-    ServeCursor,
-)
+from repro.serve.checkpoint import CursorInvalid, ServeCheckpoint, ServeCursor
 from repro.serve.pool import ShardedMonitorPool
 from repro.synth.stream import (
     read_stream_header,
@@ -67,6 +65,7 @@ if TYPE_CHECKING:
     from repro.data.calendar import StudyCalendar
     from repro.data.streams import DayBatch
     from repro.obs.export import MetricsPublisher
+    from repro.runtime.snapshot import Columns
     from repro.serve.api import StatusBoard
 
 __all__ = [
@@ -90,7 +89,7 @@ class ServeCounters:
     ingested: int = 0
     #: (customer, window) stability scores emitted at window closes.
     scored: int = 0
-    #: Alarms raised (distinct (customer, window) threshold crossings).
+    #: Alarms raised ((customer, window) threshold crossings).
     flagged: int = 0
     #: Data batches made durable (state written *and* cursor committed).
     checkpointed: int = 0
@@ -179,58 +178,54 @@ def score_fingerprint(
 
 
 # ----------------------------------------------------------------------
-# Score table: idempotent upsert from window-close reports.
+# Scores from the monitors' snapshot columns.
 # ----------------------------------------------------------------------
-def _apply_reports(
-    table: ScoreTable,
-    reports: Iterable[WindowCloseReport],
-    counters: ServeCounters,
-    status: StatusBoard | None,
-) -> None:
-    """Upsert reports into the table; counters track *new* information
-    only, so replaying an already-counted batch after a crash (whose
-    counters were not committed) re-counts it exactly once overall."""
-    touched: set[int] = set()
+def _count_reports(
+    reports: Iterable[WindowCloseReport], counters: ServeCounters
+) -> tuple[int, int]:
+    """Add the reports' scores and alarms to the counters; returns the
+    two increments.  A (customer, window) pair closes once in a state's
+    lineage, so every report is new information."""
+    scored = flagged = 0
     for report in reports:
-        for customer_id, stability in report.stabilities.items():
-            record = table.setdefault(customer_id, ScoreRecord())
-            record.stability = stability
-            counters.scored += 1
-            touched.add(customer_id)
-        for alarm in report.alarms:
-            record = table[alarm.customer_id]
-            if alarm.window_index not in record.alarm_windows:
-                record.alarm_windows[alarm.window_index] = alarm.stability
-                counters.flagged += 1
-    if status is not None:
-        for customer_id in sorted(touched):
-            record = table[customer_id]
-            status.upsert_customer(
-                customer_id,
-                record.stability,
-                record.flagged,
-                tuple(sorted(record.alarm_windows.items())),
-            )
+        scored += len(report.stabilities)
+        flagged += len(report.alarms)
+    counters.scored += scored
+    counters.flagged += flagged
+    return scored, flagged
 
 
-def _freeze_table(
-    table: ScoreTable,
+def _freeze(
+    shards: Sequence[Columns],
 ) -> tuple[
     dict[int, float],
     dict[int, bool],
     dict[int, tuple[tuple[int, float], ...]],
 ]:
-    scores: dict[int, float] = {}
-    flags: dict[int, bool] = {}
-    alarm_windows: dict[int, tuple[tuple[int, float], ...]] = {}
-    for customer_id in sorted(table):
-        record = table[customer_id]
-        scores[customer_id] = record.stability
-        flags[customer_id] = record.flagged
-        alarm_windows[customer_id] = tuple(
-            sorted(record.alarm_windows.items())
-        )
-    return scores, flags, alarm_windows
+    """The served score dicts, read off shard snapshot columns: each
+    customer's last stability and its alarm log in window order."""
+
+    def column(name: str) -> np.ndarray:
+        return np.concatenate([shard[name] for shard in shards])
+
+    ids = column("customer_id")
+    order = np.argsort(ids, kind="stable")
+    scores = dict(
+        zip(ids[order].tolist(), column("last_stability")[order].tolist(), strict=True)
+    )
+    alarm_ids, alarm_windows = column("alarm_customer"), column("alarm_window")
+    alarm_order = np.lexsort((alarm_windows, alarm_ids))
+    history: dict[int, list[tuple[int, float]]] = {}
+    for customer_id, window, stability in zip(
+        alarm_ids[alarm_order].tolist(),
+        alarm_windows[alarm_order].tolist(),
+        column("alarm_stability")[alarm_order].tolist(),
+        strict=True,
+    ):
+        history.setdefault(customer_id, []).append((window, stability))
+    alarms = {cid: tuple(history.get(cid, ())) for cid in scores}
+    flags = {cid: bool(windows) for cid, windows in alarms.items()}
+    return scores, flags, alarms
 
 
 # ----------------------------------------------------------------------
@@ -254,11 +249,9 @@ def offline_sweep(
     monitor = StabilityMonitor.from_config(
         calendar, config, beta=beta, first_alarm_window=first_alarm_window
     )
-    reports = monitor.ingest_many(baskets)
-    reports.extend(monitor.finish())
-    table: ScoreTable = {}
-    _apply_reports(table, reports, ServeCounters(), None)
-    scores, flags, alarm_windows = _freeze_table(table)
+    monitor.ingest_many(baskets)
+    monitor.finish()
+    scores, flags, alarm_windows = _freeze([monitor.snapshot()])
     return OfflineSweep(
         scores=scores, flags=flags, alarm_windows=alarm_windows
     )
@@ -397,7 +390,6 @@ def serve_stream(
     tracer = get_tracer()
 
     counters = ServeCounters()
-    table: ScoreTable = {}
     pool: ShardedMonitorPool | None = None
     resumed = False
     reworked = 0
@@ -418,7 +410,6 @@ def serve_stream(
         )
         if loaded is not None:
             pool = ShardedMonitorPool(loaded.monitors)
-            table = loaded.scores
     except CursorInvalid as exc:
         logger.warning(
             "cursor invalid on resume, restarting from stream head: %s", exc
@@ -431,7 +422,6 @@ def serve_stream(
             publisher.trigger_flight("cursor_invalid", commit_index=0)
         loaded = None
         pool = None
-        table = {}
     if loaded is not None and pool is not None:
         cursor = loaded.cursor
         counters = ServeCounters.from_dict(cursor.counters)
@@ -458,6 +448,7 @@ def serve_stream(
             counting=config.counting,
             first_alarm_window=first_alarm_window,
         )
+    active_pool = pool
 
     if status is not None:
         status.set_run_info(
@@ -474,14 +465,7 @@ def serve_stream(
             day_batches_consumed=day_batches_consumed,
             finished=already_finished,
         )
-        for customer_id in sorted(table):
-            record = table[customer_id]
-            status.upsert_customer(
-                customer_id,
-                record.stability,
-                record.flagged,
-                tuple(sorted(record.alarm_windows.items())),
-            )
+        status.set_scores(active_pool.snapshot_shards())
 
     def make_cursor(finished: bool) -> ServeCursor:
         return ServeCursor(
@@ -495,7 +479,7 @@ def serve_stream(
         )
 
     def build_result(*, batches_this_run: int, finished: bool) -> ServeResult:
-        scores, flags, alarm_windows = _freeze_table(table)
+        scores, flags, alarm_windows = _freeze(active_pool.snapshot_shards())
         return ServeResult(
             scores=scores,
             flags=flags,
@@ -524,7 +508,6 @@ def serve_stream(
     # ------------------------------------------------------------------
     batches_this_run = 0
     interrupted = False
-    active_pool = pool
 
     def shard_context() -> dict[str, object]:
         """Per-shard table for the live plane (computed at publish
@@ -545,12 +528,13 @@ def serve_stream(
             commit=commit_index,
             finished=finished,
         ):
-            checkpoint.write_state(
-                commit_index, active_pool.snapshot_shards(), table
-            )
+            shards = active_pool.snapshot_shards()
+            checkpoint.write_state(commit_index, shards)
             if on_state_written is not None:
                 on_state_written(commit_index)
             checkpoint.commit(make_cursor(finished))
+        if status is not None:
+            status.set_scores(shards)
 
     def process_batch(group: list[DayBatch]) -> None:
         nonlocal commit_index, day_batches_consumed, last_day_consumed
@@ -567,15 +551,9 @@ def serve_stream(
             reports = active_pool.process_batch(group)
         counters.ingested += n_baskets
         registry.counter(obs_metrics.SERVE_INGESTED).inc(n_baskets)
-        scored_before = counters.scored
-        flagged_before = counters.flagged
-        _apply_reports(table, reports, counters, status)
-        registry.counter(obs_metrics.SERVE_SCORED).inc(
-            counters.scored - scored_before
-        )
-        registry.counter(obs_metrics.SERVE_FLAGGED).inc(
-            counters.flagged - flagged_before
-        )
+        scored, flagged = _count_reports(reports, counters)
+        registry.counter(obs_metrics.SERVE_SCORED).inc(scored)
+        registry.counter(obs_metrics.SERVE_FLAGGED).inc(flagged)
         day_batches_consumed += len(group)
         last_day_consumed = group[-1].day
         commit_index += 1
@@ -633,8 +611,7 @@ def serve_stream(
             # run under its own commit index (never overwriting the
             # committed state in place — a crash mid-seal must leave
             # the last data commit authoritative).
-            final_reports = active_pool.finish()
-            _apply_reports(table, final_reports, counters, status)
+            _count_reports(active_pool.finish(), counters)
             commit_index += 1
             commit_state(finished=True)
             if status is not None:

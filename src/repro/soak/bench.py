@@ -22,7 +22,7 @@ import time
 from pathlib import Path
 
 from repro.errors import SoakError
-from repro.eval.benchmarking import merge_scaling_json
+from repro.eval.benchmarking import merge_scaling_json, noise_floored_overhead
 from repro.obs import FlightRecorder, MetricsPublisher, MetricsRegistry, use_metrics
 from repro.serve.loop import serve_stream
 from repro.soak.harness import SoakReport
@@ -78,20 +78,21 @@ def live_plane_overhead(
     noise, far beyond the 3% budget being certified.  The plane's only
     hot-path addition is :meth:`~repro.obs.export.MetricsPublisher.
     tick` (plus two gauge sets inside it), and the publisher accrues
-    exactly that time in ``tick_seconds`` — so the pinned overhead is
-    ``tick_seconds / (wall - tick_seconds)``, minimised over repeats.
-    The off-mode runs still serve two purposes: the fingerprint parity
-    check and the reported ``off_s`` baseline.
+    exactly that time in ``tick_seconds``.  Each plane-on run therefore
+    gives a bare time ``wall - tick_seconds`` and a plane time ``wall``,
+    and the two series go through the shared noise rule,
+    :func:`~repro.eval.benchmarking.noise_floored_overhead`.  The
+    off-mode runs still serve two purposes: the fingerprint parity check
+    and the reported ``off_s`` baseline.
 
     Returns the ``telemetry_plane`` scenario payload:
-    ``{off_s, on_s, tick_s, overhead_pct, budget_pct, ok,
-    fingerprint}``.
+    ``{off_s, on_s, tick_s, overhead_pct, raw_overhead_pct,
+    noise_floor_pct, noise_dominated, budget_pct, ok, fingerprint}``.
     """
     stream = Path(stream_path)
     scratch = Path(tempfile.mkdtemp(prefix="repro-plane-bench-"))
     off_times: list[float] = []
     on_times: list[float] = []
-    overheads: list[float] = []
     tick_times: list[float] = []
     fingerprints: set[str] = set()
     try:
@@ -127,11 +128,6 @@ def live_plane_overhead(
                 if publisher is not None:
                     on_times.append(elapsed)
                     tick_times.append(publisher.tick_seconds)
-                    base = elapsed - publisher.tick_seconds
-                    if base > 0:
-                        overheads.append(
-                            publisher.tick_seconds / base * 100.0
-                        )
                 else:
                     off_times.append(elapsed)
                 fingerprints.add(result.fingerprint())
@@ -142,7 +138,10 @@ def live_plane_overhead(
             "live plane changed the served scores: "
             f"fingerprints {sorted(fingerprints)}"
         )
-    overhead_pct = min(overheads) if overheads else 0.0
+    verdict = noise_floored_overhead(
+        [wall - tick for wall, tick in zip(on_times, tick_times, strict=True)],
+        on_times,
+    )
     return {
         "stream": str(stream),
         "batch_size": batch_size,
@@ -150,9 +149,9 @@ def live_plane_overhead(
         "off_s": min(off_times),
         "on_s": min(on_times),
         "tick_s": min(tick_times),
-        "overhead_pct": overhead_pct,
+        **verdict,
         "budget_pct": budget_pct,
-        "ok": overhead_pct < budget_pct,
+        "ok": verdict["overhead_pct"] < budget_pct,
         "fingerprint": next(iter(fingerprints)),
     }
 

@@ -15,16 +15,14 @@ import random
 import numpy as np
 import pytest
 
-from repro.core.batch import (
-    _segment_sum,
-    batch_churn_scores,
-    significance_from_counts,
-    stability_matrix,
-)
+from repro.config import ExperimentConfig
+from repro.core.batch import _segment_sum, significance_from_counts, stability_matrix
+from repro.core.model import StabilityModel
 from repro.core.significance import ExponentialSignificance
 from repro.core.stability import stability_trajectory
 from repro.core.windowing import WindowGrid, windowed_history
 from repro.data.basket import Basket
+from repro.data.calendar import StudyCalendar
 from repro.data.population import PopulationFrame
 from repro.data.transactions import TransactionLog
 from repro.errors import ConfigError, ConfigWarning, DataError
@@ -267,40 +265,46 @@ class TestSignificanceKernel:
 
 
 class TestBatchChurnScores:
+    """One window's churn scores, read off the batch backend's matrix."""
+
+    K = 4
+
     @pytest.fixture()
-    def log(self) -> TransactionLog:
-        rng = random.Random(11)
-        return _random_log(rng, n_customers=6, n_days=50, item_pool=5)
+    def fitted(self) -> tuple[StabilityModel, StabilityModel]:
+        """The batch and incremental models over one random log."""
+        calendar = StudyCalendar(n_months=5)
+        log = _random_log(
+            random.Random(11), n_customers=6, n_days=calendar.n_days, item_pool=5
+        )
+        config = ExperimentConfig(window_months=1)
+        return tuple(
+            StabilityModel.from_config(calendar, config.evolve(backend=backend)).fit(log)
+            for backend in ("batch", "incremental")
+        )
 
-    def test_matches_trajectory_engine(self, log):
-        grid = WindowGrid.daily(total_days=50, days_per_window=10)
-        scores = batch_churn_scores(log, grid, window_index=4)
-        for customer_id in log.customers():
-            trajectory = stability_trajectory(
-                customer_id, windowed_history(log.history(customer_id), grid)
-            )
-            assert scores[customer_id] == pytest.approx(
-                trajectory.churn_score(4), abs=1e-12
+    def test_matches_trajectory_engine(self, fitted):
+        batch, incremental = fitted
+        scores = batch.churn_scores(self.K)
+        assert set(scores) == set(incremental.customers())
+        for customer_id, score in scores.items():
+            assert score == pytest.approx(
+                incremental.trajectory(customer_id).churn_score(self.K), abs=1e-12
             )
 
-    def test_bad_window_rejected(self, log):
-        grid = WindowGrid.daily(total_days=50, days_per_window=10)
+    def test_bad_window_rejected(self, fitted):
         with pytest.raises(ConfigError):
-            batch_churn_scores(log, grid, window_index=99)
+            fitted[0].churn_scores(window_index=99)
 
-    def test_unknown_customer_rejected(self, log):
-        grid = WindowGrid.daily(total_days=50, days_per_window=10)
+    def test_unknown_customer_rejected(self, fitted):
         with pytest.raises(DataError):
-            batch_churn_scores(log, grid, 4, customers=[424242])
+            fitted[0].churn_scores(self.K, customers=[424242])
 
-    def test_subset(self, log):
-        grid = WindowGrid.daily(total_days=50, days_per_window=10)
-        scores = batch_churn_scores(log, grid, 4, customers=[2, 4])
+    def test_subset(self, fitted):
+        scores = fitted[0].churn_scores(self.K, customers=[2, 4])
         assert set(scores) == {2, 4}
 
-    def test_undefined_maps_to_neutral(self, log):
-        grid = WindowGrid.daily(total_days=50, days_per_window=10)
-        scores = batch_churn_scores(log, grid, window_index=0)
+    def test_undefined_maps_to_neutral(self, fitted):
+        scores = fitted[0].churn_scores(window_index=0)
         assert set(scores.values()) == {0.5}
 
 
@@ -349,5 +353,3 @@ class TestAlphaValidation:
         population = PopulationFrame.from_log(log, grid)
         with pytest.warns(ConfigWarning):
             stability_matrix(population, alpha=1.0)
-        with pytest.warns(ConfigWarning):
-            batch_churn_scores(log, grid, 0, alpha=0.5)

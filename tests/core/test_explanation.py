@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.explanation import explain_drop, explain_trajectory, explain_window
+from repro.core.explanation import explain_drop, explain_window
 from repro.core.stability import stability_trajectory
 from repro.core.windowing import Window
 from repro.errors import ConfigError
@@ -90,12 +90,3 @@ class TestExplainWindow:
 class TestExplainDropAndTrajectory:
     def test_explain_drop_alias(self, trajectory):
         assert explain_drop(trajectory, 3) == explain_window(trajectory, 3)
-
-    def test_explain_trajectory_covers_all_drops(self, trajectory):
-        explanations = explain_trajectory(trajectory, drop_threshold=0.05)
-        explained_windows = {e.window_index for e in explanations}
-        assert explained_windows == set(trajectory.drops(0.05))
-
-    def test_explain_trajectory_empty_when_stable(self):
-        trajectory = stability_trajectory(1, _windows([{1}, {1}, {1}]))
-        assert explain_trajectory(trajectory) == []

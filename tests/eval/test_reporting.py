@@ -4,14 +4,13 @@ from __future__ import annotations
 
 import pytest
 
-from repro.eval.ablations import AblationPoint, ExplanationQuality
+from repro.eval.ablations import AblationPoint
 from repro.eval.figure1 import run_figure1
 from repro.eval.figure2 import run_figure2
 from repro.eval.reporting import (
     format_table,
     render_ablation,
     render_dataset_stats,
-    render_explanation_quality,
     render_figure1,
     render_figure2,
 )
@@ -70,14 +69,6 @@ class TestRenderers:
         assert "alpha sweep" in text
         assert "0.789" in text
 
-    def test_render_explanation_quality(self):
-        text = render_explanation_quality(
-            ExplanationQuality(top_k=3, precision=0.5, recall=0.25, n_evaluated=10)
-        )
-        assert "top-3" in text
-        assert "precision=0.500" in text
-        assert "recall=0.250" in text
-
 
 class TestExtensionRenderers:
     def test_render_delay(self):
@@ -108,35 +99,3 @@ class TestExtensionRenderers:
         text = render_campaign(comparison, (22,))
         assert "stability" in text
         assert "lift@10%" in text
-
-    def test_render_mechanisms(self):
-        from repro.eval.reporting import render_mechanisms
-        from repro.eval.robustness import MechanismResult
-
-        results = [
-            MechanismResult(
-                mechanism="item-loss",
-                stability_auroc={20: 0.9},
-                rfm_auroc={20: 0.6},
-            )
-        ]
-        text = render_mechanisms(results, (20,))
-        assert "item-loss" in text
-        assert "0.900" in text
-        assert "0.600" in text
-
-    def test_render_variance(self):
-        from repro.eval.reporting import render_variance
-        from repro.eval.variance import VarianceSummary
-
-        summary = VarianceSummary(
-            months=(20,),
-            seeds=(1, 2),
-            stability_mean={20: 0.8},
-            stability_std={20: 0.02},
-            rfm_mean={20: 0.6},
-            rfm_std={20: 0.05},
-        )
-        text = render_variance(summary)
-        assert "0.800 ± 0.020" in text
-        assert "0.600 ± 0.050" in text

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -29,7 +30,14 @@ from repro.data.calendar import StudyCalendar
 from repro.data.io import read_log_csv, write_log_csv
 from repro.data.streams import iter_day_batches
 from repro.data.transactions import TransactionLog
-from repro.serve import ServeCheckpoint, ServeCursor, ShardedMonitorPool, shard_of
+from repro.serve import (
+    ServeCheckpoint,
+    ServeCursor,
+    ShardedMonitorPool,
+    score_fingerprint,
+    shard_of,
+)
+from repro.serve.loop import _freeze
 
 # A 6-month mini-study keeps the fuzzing fast while covering several windows.
 _CALENDAR = StudyCalendar(n_months=6)
@@ -185,7 +193,7 @@ class TestEngineEquivalence:
         served = pool.process_batch(batches[:cut])
         if through_checkpoint:
             checkpoint = ServeCheckpoint(tmp_path_factory.mktemp("ckpt"))
-            checkpoint.write_state(1, pool.snapshot_shards(), {})
+            checkpoint.write_state(1, pool.snapshot_shards())
             checkpoint.commit(
                 ServeCursor(
                     commit_index=1,
@@ -210,6 +218,19 @@ class TestEngineEquivalence:
             )
         served += pool.process_batch(batches[cut:]) + pool.finish()
         assert _bits(served) == _bits(expected)
+        # The alarm log, merged across shards in emission order, and the
+        # served score dicts match the uninterrupted monitor's columns.
+        shards, single = pool.snapshot_shards(), reference.snapshot()
+        merged = {
+            name: np.concatenate([shard[name] for shard in shards])
+            for name in ("alarm_customer", "alarm_window", "alarm_stability")
+        }
+        order = np.lexsort((merged["alarm_customer"], merged["alarm_window"]))
+        for name, column in merged.items():
+            assert np.array_equal(column[order], single[name])
+        assert score_fingerprint(*_freeze(shards)) == score_fingerprint(
+            *_freeze([single])
+        )
 
         if not preregister and counting == "paper":
             return  # absences before registration are not counted

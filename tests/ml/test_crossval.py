@@ -4,56 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.errors import ConfigError, DataError
-from repro.ml.crossval import GridSearchResult, KFold, StratifiedKFold, grid_search
-
-
-class TestKFold:
-    def test_partitions_all_indices(self):
-        folds = list(KFold(n_splits=4, seed=0).split(21))
-        assert len(folds) == 4
-        covered = np.concatenate([test for __, test in folds])
-        assert sorted(covered.tolist()) == list(range(21))
-
-    def test_train_test_disjoint(self):
-        for train, test in KFold(n_splits=3).split(10):
-            assert not set(train.tolist()) & set(test.tolist())
-            assert sorted(set(train.tolist()) | set(test.tolist())) == list(range(10))
-
-    def test_deterministic_with_seed(self):
-        a = [t.tolist() for __, t in KFold(n_splits=3, seed=42).split(12)]
-        b = [t.tolist() for __, t in KFold(n_splits=3, seed=42).split(12)]
-        assert a == b
-
-    def test_different_seeds_differ(self):
-        a = [t.tolist() for __, t in KFold(n_splits=3, seed=1).split(30)]
-        b = [t.tolist() for __, t in KFold(n_splits=3, seed=2).split(30)]
-        assert a != b
-
-    def test_no_shuffle_is_contiguous(self):
-        folds = list(KFold(n_splits=2, shuffle=False).split(4))
-        assert folds[0][1].tolist() == [0, 1]
-
-    def test_too_few_samples_rejected(self):
-        with pytest.raises(DataError):
-            list(KFold(n_splits=5).split(3))
-
-    def test_bad_n_splits_rejected(self):
-        with pytest.raises(ConfigError):
-            KFold(n_splits=1)
-
-    @settings(max_examples=20, deadline=None)
-    @given(
-        n=st.integers(min_value=6, max_value=50),
-        k=st.integers(min_value=2, max_value=5),
-    )
-    def test_fold_sizes_balanced(self, n: int, k: int):
-        sizes = [len(test) for __, test in KFold(n_splits=k).split(n)]
-        assert max(sizes) - min(sizes) <= 1
-        assert sum(sizes) == n
+from repro.ml.crossval import GridSearchResult, StratifiedKFold, grid_search
 
 
 class TestStratifiedKFold:
@@ -90,7 +43,10 @@ class TestStratifiedKFold:
 class TestGridSearch:
     @staticmethod
     def _folds(n: int = 10, k: int = 2):
-        return list(KFold(n_splits=k, seed=0).split(n))
+        indices = np.arange(n)
+        return [
+            (np.setdiff1d(indices, test), test) for test in np.array_split(indices, k)
+        ]
 
     def test_best_params_maximise_score(self):
         result = grid_search(

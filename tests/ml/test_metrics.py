@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from repro.errors import DataError
 from repro.ml.metrics import (
     auroc,
-    brier_score,
     confusion_at_threshold,
     lift_at_fraction,
     precision_recall_f1,
@@ -165,15 +164,3 @@ class TestLift:
     def test_no_positives_rejected(self):
         with pytest.raises(DataError, match="no positive"):
             lift_at_fraction(np.array([0, 0]), np.array([0.1, 0.2]), 0.5)
-
-
-class TestBrier:
-    def test_perfect(self):
-        assert brier_score(np.array([0, 1]), np.array([0.0, 1.0])) == 0.0
-
-    def test_uniform(self):
-        assert brier_score(np.array([0, 1]), np.array([0.5, 0.5])) == pytest.approx(0.25)
-
-    def test_out_of_range_rejected(self):
-        with pytest.raises(DataError, match="probabilities"):
-            brier_score(np.array([0, 1]), np.array([0.5, 1.5]))

@@ -80,6 +80,17 @@ def test_round_trip_mid_stream(tiny_dataset, tmp_path):
     tail_reports += restored.finish()
 
     _assert_reports_equal(head_reports + tail_reports, expected)
+    # The alarm log survives the restart and keeps appending.
+    alarms = [(a.customer_id, a.window_index, a.stability) for r in expected for a in r.alarms]
+    assert alarms, "fixture raises no alarms"
+    snapshot = restored.snapshot()
+    logged = zip(
+        snapshot["alarm_customer"].tolist(),
+        snapshot["alarm_window"].tolist(),
+        snapshot["alarm_stability"].tolist(),
+        strict=True,
+    )
+    assert list(logged) == alarms
     # Alarm evidence survives the restart too.
     for customer in reference.customers():
         assert restored.explain_alarm(customer) == reference.explain_alarm(
@@ -149,6 +160,10 @@ def test_malformed_pairs_rejected(tiny_dataset):
     payload = snapshot_monitor(monitor)
     payload["item"] = payload["item"].astype(np.int64)
     with pytest.raises(SnapshotError, match="'item' has dtype int64"):
+        restore_monitor(payload)
+    payload = snapshot_monitor(monitor)
+    payload["alarm_window"] = np.append(payload["alarm_window"], np.int32(3))
+    with pytest.raises(SnapshotError, match="'alarm_stability'.* differ in length"):
         restore_monitor(payload)
 
 

@@ -15,7 +15,6 @@ from repro.core.streaming import StabilityMonitor
 from repro.core.windowing import WindowGrid
 from repro.data.basket import Basket
 from repro.serve import OfflineSweep, offline_sweep_stream
-from repro.serve.checkpoint import ScoreRecord
 from repro.synth import ScenarioConfig, generate_dataset
 from repro.synth.stream import record_stream
 
@@ -57,18 +56,16 @@ def offline_reference(stream_path, serve_config) -> OfflineSweep:
 
 @pytest.fixture()
 def shard_snapshot():
-    """A valid monitor snapshot: two customers, one window closed."""
+    """A valid monitor snapshot: two customers, two windows closed, and
+    customer 1 alarmed at window 1 (stability 0.5 at ``beta`` 0.5)."""
     monitor = StabilityMonitor(WindowGrid.daily(total_days=30, days_per_window=10))
     monitor.ingest_many(
-        [Basket.of(1, 0, [1, 2]), Basket.of(2, 3, [5]), Basket.of(1, 12, [2])]
+        [
+            Basket.of(1, 0, [1, 2]),
+            Basket.of(2, 3, [5]),
+            Basket.of(1, 12, [2]),
+            Basket.of(2, 14, [5]),
+            Basket.of(1, 21, [2]),
+        ]
     )
     return monitor.snapshot()
-
-
-@pytest.fixture()
-def score_table():
-    """A small served score table with one flagged customer."""
-    return {
-        1: ScoreRecord(stability=0.25, alarm_windows={1: 0.25}),
-        2: ScoreRecord(stability=0.75),
-    }

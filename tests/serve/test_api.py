@@ -8,9 +8,25 @@ import urllib.request
 
 import pytest
 
+from repro.core.streaming import StabilityMonitor
+from repro.core.windowing import WindowGrid
+from repro.data.basket import Basket
 from repro.serve import StatusBoard, StatusServer, serve_stream
 
 BATCH = 200
+
+
+def _scored_board() -> StatusBoard:
+    """A board fed from a real monitor snapshot: customer 7 alarms at
+    window 1 (stability 0.5), customer 1 first shops there (``nan``)."""
+    monitor = StabilityMonitor(WindowGrid.daily(total_days=30, days_per_window=10))
+    monitor.ingest_many(
+        [Basket.of(7, 0, [1, 2]), Basket.of(1, 12, [3]), Basket.of(7, 12, [2])]
+    )
+    monitor.advance_to_day(21)
+    board = StatusBoard()
+    board.set_scores([monitor.snapshot()])
+    return board
 
 
 class TestStatusBoard:
@@ -27,35 +43,38 @@ class TestStatusBoard:
         assert status["customers_tracked"] == 0
 
     def test_handle_routes(self):
-        board = StatusBoard()
+        board = _scored_board()
         board.set_phase("serving")
-        board.upsert_customer(7, 0.25, True, ((4, 0.25),))
         code, payload = board.handle("/status")
         assert code == 200
         assert payload["phase"] == "serving"
-        assert payload["customers_tracked"] == 1
+        assert payload["customers_tracked"] == 2
         code, payload = board.handle("/")
         assert code == 200
         code, payload = board.handle("/customers/7")
         assert code == 200
         assert payload == {
             "customer_id": 7,
-            "stability": 0.25,
+            "stability": 0.5,
             "flagged": True,
-            "alarm_windows": [[4, 0.25]],
+            "alarm_windows": [[1, 0.5]],
         }
 
     def test_handle_rejections(self):
-        board = StatusBoard()
+        board = _scored_board()
         assert board.handle("/customers/99")[0] == 404
+        assert board.handle("/customers/8")[0] == 404
         assert board.handle("/customers/abc")[0] == 404
         assert board.handle("/manifest")[0] == 404
         assert board.handle("/nonsense")[0] == 404
 
     def test_nan_stability_is_null(self):
-        board = StatusBoard()
-        board.upsert_customer(1, float("nan"), False)
-        assert board.customer(1)["stability"] is None
+        board = _scored_board()
+        assert board.customer(1) == {
+            "stability": None,
+            "flagged": False,
+            "alarm_windows": [],
+        }
 
     def test_manifest_route_after_set(self):
         board = StatusBoard()
@@ -88,6 +107,7 @@ class TestServeUpdatesBoard:
         for cid, stability in result.scores.items():
             record = board.customer(cid)
             assert record["flagged"] == result.flags[cid]
+            assert record["alarm_windows"] == [list(a) for a in result.alarm_windows[cid]]
             if record["stability"] is not None:
                 assert record["stability"] == stability
 
@@ -110,9 +130,8 @@ class TestHttpServer:
             return json.load(response)
 
     def test_routes_over_real_sockets(self):
-        board = StatusBoard()
+        board = _scored_board()
         board.set_phase("serving")
-        board.upsert_customer(7, 0.83, True, ((4, 0.83),))
         with StatusServer(board, port=0) as server:
             assert server.port > 0
             base = f"http://127.0.0.1:{server.port}"

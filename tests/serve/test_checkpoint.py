@@ -26,15 +26,9 @@ def _cursor(**overrides) -> ServeCursor:
     return ServeCursor(**base)
 
 
-def _write_checkpoint(
-    tmp_path, cursor: ServeCursor, shard_snapshot, scores=None
-) -> ServeCheckpoint:
+def _write_checkpoint(tmp_path, cursor: ServeCursor, shard_snapshot) -> ServeCheckpoint:
     checkpoint = ServeCheckpoint(tmp_path / "ckpt")
-    checkpoint.write_state(
-        cursor.commit_index,
-        [shard_snapshot] * cursor.n_shards,
-        {} if scores is None else scores,
-    )
+    checkpoint.write_state(cursor.commit_index, [shard_snapshot] * cursor.n_shards)
     checkpoint.commit(cursor)
     return checkpoint
 
@@ -92,13 +86,9 @@ class TestCommitProtocol:
     def test_fresh_directory_loads_none(self, tmp_path):
         assert _load(ServeCheckpoint(tmp_path / "nothing")) is None
 
-    def test_commit_then_load_round_trips(
-        self, tmp_path, shard_snapshot, score_table
-    ):
+    def test_commit_then_load_round_trips(self, tmp_path, shard_snapshot):
         cursor = _cursor()
-        checkpoint = _write_checkpoint(
-            tmp_path, cursor, shard_snapshot, score_table
-        )
+        checkpoint = _write_checkpoint(tmp_path, cursor, shard_snapshot)
         loaded = _load(checkpoint)
         assert loaded is not None
         assert loaded.cursor == cursor
@@ -109,7 +99,11 @@ class TestCommitProtocol:
             for name, column in shard_snapshot.items():
                 assert np.array_equal(restored[name], column, equal_nan=True)
             assert monitor.customers() == [1, 2]
-        assert loaded.scores == score_table
+            # The scores and the alarm log ride in the shard columns.
+            assert restored["last_stability"].tolist() == [0.5, 1.0]
+            assert restored["alarm_customer"].tolist() == [1]
+            assert restored["alarm_window"].tolist() == [1]
+            assert restored["alarm_stability"].tolist() == [0.5]
         assert not loaded.orphaned_state
 
     def test_state_files_sit_flat_in_the_state_dir(
@@ -117,7 +111,6 @@ class TestCommitProtocol:
     ):
         checkpoint = _write_checkpoint(tmp_path, _cursor(), shard_snapshot)
         assert sorted(p.name for p in checkpoint.state_dir(3).iterdir()) == [
-            "scores.npz",
             "shard-0000.npz",
             "shard-0001.npz",
         ]
@@ -126,7 +119,7 @@ class TestCommitProtocol:
     def test_commit_prunes_superseded_state(self, tmp_path, shard_snapshot):
         checkpoint = ServeCheckpoint(tmp_path / "ckpt")
         for commit in (1, 2, 3):
-            checkpoint.write_state(commit, [shard_snapshot], {})
+            checkpoint.write_state(commit, [shard_snapshot])
             checkpoint.commit(_cursor(commit_index=commit, n_shards=1))
         remaining = sorted(
             p.name for p in checkpoint.directory.glob("state-*")
@@ -137,9 +130,7 @@ class TestCommitProtocol:
         cursor = _cursor()
         checkpoint = _write_checkpoint(tmp_path, cursor, shard_snapshot)
         # A crash after write_state but before commit leaves this behind.
-        checkpoint.write_state(
-            cursor.commit_index + 1, [shard_snapshot] * 2, {}
-        )
+        checkpoint.write_state(cursor.commit_index + 1, [shard_snapshot] * 2)
         loaded = _load(checkpoint)
         assert loaded is not None
         assert loaded.orphaned_state
@@ -196,14 +187,10 @@ class TestInvalidCursors:
 class TestDamagedBinaryState:
     """Every way a committed ``.npz`` can be damaged is a CursorInvalid."""
 
-    @pytest.fixture(params=["shard", "scores"])
-    def damaged(self, request, tmp_path, shard_snapshot, score_table):
-        checkpoint = _write_checkpoint(
-            tmp_path, _cursor(), shard_snapshot, score_table
-        )
-        if request.param == "shard":
-            return checkpoint, checkpoint.shard_path(3, 1)
-        return checkpoint, checkpoint.scores_path(3)
+    @pytest.fixture(params=["shard"])
+    def damaged(self, request, tmp_path, shard_snapshot):
+        checkpoint = _write_checkpoint(tmp_path, _cursor(), shard_snapshot)
+        return checkpoint, checkpoint.shard_path(3, 1)
 
     def test_truncated(self, damaged):
         checkpoint, path = damaged

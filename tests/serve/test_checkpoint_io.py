@@ -49,7 +49,7 @@ def _flaky(operation: str, failures: int):
 
 class TestRetryBudget:
     def test_transient_state_write_fault_cleared_by_retry(
-        self, tmp_path, shard_snapshot, score_table
+        self, tmp_path, shard_snapshot
     ):
         registry = MetricsRegistry()
         checkpoint = ServeCheckpoint(
@@ -57,7 +57,7 @@ class TestRetryBudget:
             io_fault=_flaky("write_state", 1),
         )
         with use_metrics(registry):
-            directory = checkpoint.write_state(1, [shard_snapshot], score_table)
+            directory = checkpoint.write_state(1, [shard_snapshot])
         assert directory == checkpoint.state_dir(1)
         assert checkpoint.shard_path(1, 0).exists()
         assert registry.counter_value(
@@ -65,38 +65,38 @@ class TestRetryBudget:
         ) == 1
 
     def test_transient_commit_fault_cleared_by_retry(
-        self, tmp_path, shard_snapshot, score_table
+        self, tmp_path, shard_snapshot
     ):
         checkpoint = ServeCheckpoint(
             tmp_path, io_retries=1, io_backoff_s=0.0,
             io_fault=_flaky("commit", 1),
         )
-        checkpoint.write_state(1, [shard_snapshot], score_table)
+        checkpoint.write_state(1, [shard_snapshot])
         checkpoint.commit(_cursor(1))
         payload = json.loads(checkpoint.cursor_path.read_text())
         assert payload["commit_index"] == 1
 
     def test_persistent_fault_exhausts_budget(
-        self, tmp_path, shard_snapshot, score_table
+        self, tmp_path, shard_snapshot
     ):
         checkpoint = ServeCheckpoint(
             tmp_path, io_retries=2, io_backoff_s=0.0,
             io_fault=_flaky("write_state", 99),
         )
         with pytest.raises(CheckpointIOExhausted, match="3 attempt"):
-            checkpoint.write_state(1, [shard_snapshot], score_table)
+            checkpoint.write_state(1, [shard_snapshot])
 
     def test_exhausted_commit_leaves_previous_cursor_authoritative(
-        self, tmp_path, shard_snapshot, score_table
+        self, tmp_path, shard_snapshot
     ):
         checkpoint = ServeCheckpoint(tmp_path, io_backoff_s=0.0)
-        checkpoint.write_state(1, [shard_snapshot], score_table)
+        checkpoint.write_state(1, [shard_snapshot])
         checkpoint.commit(_cursor(1))
         broken = ServeCheckpoint(
             tmp_path, io_retries=1, io_backoff_s=0.0,
             io_fault=_flaky("commit", 99),
         )
-        broken.write_state(2, [shard_snapshot], score_table)
+        broken.write_state(2, [shard_snapshot])
         with pytest.raises(CheckpointIOExhausted):
             broken.commit(_cursor(2))
         # The commit point never moved: resume reworks exactly batch 2.
@@ -112,23 +112,23 @@ class TestRetryBudget:
         assert loaded.orphaned_state  # the rework marker
 
     def test_zero_retries_fails_on_first_fault(
-        self, tmp_path, shard_snapshot, score_table
+        self, tmp_path, shard_snapshot
     ):
         checkpoint = ServeCheckpoint(
             tmp_path, io_retries=0, io_backoff_s=0.0,
             io_fault=_flaky("write_state", 1),
         )
         with pytest.raises(CheckpointIOExhausted, match="1 attempt"):
-            checkpoint.write_state(1, [shard_snapshot], score_table)
+            checkpoint.write_state(1, [shard_snapshot])
 
     def test_hook_sees_operation_commit_and_attempt(
-        self, tmp_path, shard_snapshot, score_table
+        self, tmp_path, shard_snapshot
     ):
         hook = _flaky("write_state", 1)
         checkpoint = ServeCheckpoint(
             tmp_path, io_retries=2, io_backoff_s=0.0, io_fault=hook
         )
-        checkpoint.write_state(7, [shard_snapshot], score_table)
+        checkpoint.write_state(7, [shard_snapshot])
         assert hook.seen[:2] == [
             ("write_state", 7, 0),
             ("write_state", 7, 1),

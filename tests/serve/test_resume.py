@@ -220,7 +220,7 @@ class TestCursorFallback:
         assert result.fingerprint() == offline_reference.fingerprint()
 
     @pytest.mark.parametrize("damage", ["truncated", "zero_length", "bit_flip"])
-    @pytest.mark.parametrize("target", ["shard", "scores"])
+    @pytest.mark.parametrize("target", ["shard"])
     def test_damaged_binary_state_restarts_from_head(
         self, stream_path, serve_config, offline_reference, tmp_path,
         target, damage,
@@ -230,12 +230,7 @@ class TestCursorFallback:
             stream_path, ckpt, config=serve_config, batch_size=BATCH,
             max_batches=2, n_shards=2,
         )
-        checkpoint = ServeCheckpoint(ckpt)
-        path = (
-            checkpoint.shard_path(2, 1)
-            if target == "shard"
-            else checkpoint.scores_path(2)
-        )
+        path = ServeCheckpoint(ckpt).shard_path(2, 1)
         if damage == "bit_flip":
             data = bytearray(path.read_bytes())
             data[data.index(b"repro.") + 2] ^= 0x10

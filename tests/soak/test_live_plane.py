@@ -153,6 +153,16 @@ class TestOverheadPin:
         assert verdict["tick_s"] > 0
         assert verdict["overhead_pct"] >= 0
         assert set(verdict) >= {"overhead_pct", "ok", "stream"}
+        # The verdict goes through the shared noise rule: each plane-on
+        # run is judged against itself minus its tick time.  One repeat
+        # has no spread, so the floor is 0 and the raw figure stands.
+        assert verdict["raw_overhead_pct"] == pytest.approx(
+            verdict["tick_s"] / (verdict["on_s"] - verdict["tick_s"]) * 100.0
+        )
+        assert verdict["noise_floor_pct"] == 0.0
+        assert verdict["noise_dominated"] is (verdict["raw_overhead_pct"] == 0.0)
+        assert verdict["overhead_pct"] == verdict["raw_overhead_pct"]
+        assert verdict["ok"] is (verdict["overhead_pct"] < verdict["budget_pct"])
 
 
 @pytest.fixture(autouse=True)

@@ -155,28 +155,35 @@ class TestCommands:
     def test_bench(self, tmp_path, capsys):
         import json
 
-        out = tmp_path / "telemetry.json"
-        assert main(
-            [
-                *ARGS,
-                "bench",
-                "--sizes", "4",
-                "--repeat", "1",
-                "--resilience-size", "8",
-                "--json", str(out),
-            ]
-        ) == 0
-        stdout = capsys.readouterr().out
-        assert "speedup" in stdout
-        assert "resilient executor" in stdout
-        payload = json.loads(out.read_text())
-        assert payload["benchmark"] == "stability_fit_scaling"
-        assert payload["results"][0]["customers"] == 8
-        assert payload["results"][0]["speedup_batch_vs_incremental"] > 0
-        resilience = payload["resilient_executor"]
-        assert resilience["scenario"] == "resilient_executor_overhead"
-        assert resilience["bare_seconds"] > 0
-        assert resilience["resilient_seconds"] > 0
+        fresh = tmp_path / "telemetry.json"
+        # An artifact holding a scenario this run does not measure keeps
+        # it, and the measured keys are refreshed.
+        pinned = tmp_path / "pinned.json"
+        pinned.write_text(json.dumps({"slab_grid": {"kept": True}, "results": []}))
+        for out in (fresh, pinned):
+            assert main(
+                [
+                    *ARGS,
+                    "bench",
+                    "--sizes", "4",
+                    "--repeat", "1",
+                    "--resilience-size", "8",
+                    "--json", str(out),
+                ]
+            ) == 0
+            stdout = capsys.readouterr().out
+            assert "speedup" in stdout
+            assert "resilient executor" in stdout
+            payload = json.loads(out.read_text())
+            assert payload["benchmark"] == "stability_fit_scaling"
+            assert payload["results"][0]["customers"] == 8
+            assert payload["results"][0]["speedup_batch_vs_incremental"] > 0
+            resilience = payload["resilient_executor"]
+            assert resilience["scenario"] == "resilient_executor_overhead"
+            assert resilience["bare_seconds"] > 0
+            assert resilience["resilient_seconds"] > 0
+        assert "slab_grid" not in json.loads(fresh.read_text())
+        assert json.loads(pinned.read_text())["slab_grid"] == {"kept": True}
 
     def test_bench_single_backend(self, capsys):
         assert main([*ARGS, "bench", "--backend", "batch", "--sizes", "4",
